@@ -13,7 +13,7 @@ from .image import (
     modality,
     save_pgm,
 )
-from .kernels import NUMBA_AVAILABLE, USE_NUMBA, backend_name
+from .kernels import backend_name
 from .matcher import (
     EvaluationReport,
     Template,
@@ -43,8 +43,6 @@ from .synth import PalmModel, SampleJitter, generate_corpus, generate_palm, read
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "USE_NUMBA",
     "EmptyRoiError",
     "EvaluationReport",
     "KeepRange",

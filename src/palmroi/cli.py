@@ -17,16 +17,19 @@ from .features import extract_features
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
 
-def _add_roi_flags(parser, include_n=True):
-    parser.add_argument("--strip-px", type=int, default=10, help="strip width in pixels")
-    if include_n:
-        parser.add_argument("--n", type=float, default=1.0, help="stddev multiplier in mean - n*stddev")
+def _add_edge_flag(parser):
     parser.add_argument(
         "--edge-threshold",
         type=int,
         default=edges.DEFAULT_EDGE_THRESHOLD,
         help="Sobel L1 magnitude threshold for edge pixels",
     )
+
+
+def _add_roi_flags(parser):
+    parser.add_argument("--strip-px", type=int, default=10, help="strip width in pixels")
+    parser.add_argument("--n", type=float, default=1.0, help="stddev multiplier in mean - n*stddev")
+    _add_edge_flag(parser)
 
 
 def _parse_rect(text: str) -> RoiRect:
@@ -37,12 +40,10 @@ def _parse_rect(text: str) -> RoiRect:
     return RoiRect(x0, y0, w, h)
 
 
-def _resolve_rect(spec: str, img, params: roi.RoiParams) -> RoiRect:
-    """ROI spec: 'full', 'auto' (fit on this image), '@file' sidecar, or 'x0 y0 w h'."""
+def _resolve_rect(spec: str, img) -> RoiRect:
+    """ROI spec: 'full', '@file' sidecar, or 'x0 y0 w h'."""
     if spec == "full":
         return full_rect(img)
-    if spec == "auto":
-        return roi.extract_roi(img, params)
     if spec.startswith("@"):
         return _parse_rect(Path(spec[1:]).read_text())
     return _parse_rect(spec)
@@ -87,16 +88,16 @@ def cmd_histcmp(args) -> int:
     return 0
 
 
-def _image_features(path, rect_spec, k, params):
+def _image_features(path, rect_spec, k, edge_threshold):
     img = load_pgm(path)
-    rect = _resolve_rect(rect_spec, img, params)
-    return extract_features(img, rect, k, params.edge_threshold), rect
+    rect = _resolve_rect(rect_spec, img)
+    return extract_features(img, rect, k, edge_threshold), rect
 
 
 def cmd_enroll(args) -> int:
     entries = synth.read_manifest(args.manifest)
-    params = roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
     if args.roi == "auto":
+        params = roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
         images = [load_pgm(e.path) for e in entries]
         rect = roi.common_roi([roi.keep_ranges(img, params) for img in images], args.strip_px)
         samples = [
@@ -107,7 +108,7 @@ def cmd_enroll(args) -> int:
         rect = None
         samples = []
         for e in entries:
-            feats, rect = _image_features(e.path, args.roi, args.k, params)
+            feats, rect = _image_features(e.path, args.roi, args.k, args.edge_threshold)
             samples.append((e.palm_id, e.sample_id, feats))
     db = matcher.enroll(samples)
     matcher.save_db(db, args.out)
@@ -119,8 +120,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_identify(args) -> int:
     db = matcher.load_db(args.db)
-    params = roi.RoiParams(args.strip_px, 1.0, args.edge_threshold)
-    feats, _ = _image_features(args.image, args.roi, db.k, params)
+    feats, _ = _image_features(args.image, args.roi, db.k, args.edge_threshold)
     palm_id, dist = matcher.identify(feats, db, args.metric)
     print(f"{palm_id}\t{dist:.6f}")
     return 0
@@ -128,8 +128,7 @@ def cmd_identify(args) -> int:
 
 def cmd_verify(args) -> int:
     db = matcher.load_db(args.db)
-    params = roi.RoiParams(args.strip_px, 1.0, args.edge_threshold)
-    feats, _ = _image_features(args.image, args.roi, db.k, params)
+    feats, _ = _image_features(args.image, args.roi, db.k, args.edge_threshold)
     accepted = matcher.verify(feats, db, args.claim, args.tau, args.metric)
     print("accept" if accepted else "reject")
     return 0
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
     p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
-    _add_roi_flags(p, include_n=False)
+    _add_edge_flag(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("verify", help="accept/reject a claimed identity")
@@ -215,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="acceptance distance threshold")
     p.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
     p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
-    _add_roi_flags(p, include_n=False)
+    _add_edge_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="full-frame vs ROI identification experiment")

@@ -11,6 +11,7 @@ The interchange format is binary PGM (P5) with maxval 255: ASCII header
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,20 @@ def load_pgm(path) -> np.ndarray:
             f"{path}: truncated pixel data ({len(payload)} of {width * height} bytes)"
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+
+
+def open_ascii_text(path) -> io.StringIO:
+    """Read an ASCII text file for line iteration, splitting lines as ``open`` does.
+
+    A non-ASCII byte raises ValueError naming ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("ascii"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
 def save_pgm(img: np.ndarray, path) -> None:

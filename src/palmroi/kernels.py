@@ -1,41 +1,22 @@
 """Hot numeric kernels: Sobel L1 gradients and 8-connected component counts.
 
-Two interchangeable backends produce bit-identical results:
-
-* numba ``@njit`` loops (default when numba imports cleanly), and
-* a numpy/scipy path (``scipy.ndimage.label`` for components).
-
-Set ``PALMROI_NO_NUMBA=1`` before import to force the numpy path, e.g. to
-debug without JIT or to run the benchmark comparison. ``backend_name()``
-reports which path is live.
+Both are plain numpy; components are labeled by ``scipy.ndimage.label``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy import ndimage
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-_NUMBA_DISABLED = os.environ.get("PALMROI_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-USE_NUMBA = NUMBA_AVAILABLE and not _NUMBA_DISABLED
+_STRUCT_8 = np.ones((3, 3), dtype=bool)
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Sobel |Gx| + |Gy|, border ring zero. Input int32, output int32 (max 2040).
-
-def sobel_l1_numpy(img: np.ndarray) -> np.ndarray:
+def sobel_l1(img: np.ndarray) -> np.ndarray:
+    """L1 Sobel magnitude of an int32 image, zero border ring (max 2040)."""
     a = img
     out = np.zeros(a.shape, dtype=np.int32)
     gx = (a[:-2, 2:] + 2 * a[1:-1, 2:] + a[2:, 2:]) - (
@@ -48,109 +29,10 @@ def sobel_l1_numpy(img: np.ndarray) -> np.ndarray:
     return out
 
 
-_STRUCT_8 = np.ones((3, 3), dtype=bool)
-
-
-def count_components_numpy(mask: np.ndarray) -> int:
+def count_components(mask: np.ndarray) -> int:
+    """Number of 8-connected components of True pixels in a boolean mask."""
+    mask = np.ascontiguousarray(mask)
     if not mask.any():
         return 0
     _, n = ndimage.label(mask, structure=_STRUCT_8)
     return int(n)
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _sobel_l1_jit(a):
-        h, w = a.shape
-        out = np.zeros((h, w), dtype=np.int32)
-        for y in range(1, h - 1):
-            for x in range(1, w - 1):
-                gx = (
-                    a[y - 1, x + 1] + 2 * a[y, x + 1] + a[y + 1, x + 1]
-                    - a[y - 1, x - 1] - 2 * a[y, x - 1] - a[y + 1, x - 1]
-                )
-                gy = (
-                    a[y + 1, x - 1] + 2 * a[y + 1, x] + a[y + 1, x + 1]
-                    - a[y - 1, x - 1] - 2 * a[y - 1, x] - a[y - 1, x + 1]
-                )
-                out[y, x] = abs(gx) + abs(gy)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _find_root(parent, i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:  # path compression
-            nxt = parent[i]
-            parent[i] = root
-            i = nxt
-        return root
-
-    @njit(cache=True, nogil=True)
-    def _count_components_jit(mask):
-        h, w = mask.shape
-        parent = np.empty(h * w, dtype=np.int64)
-        for y in range(h):
-            row = y * w
-            for x in range(w):
-                p = row + x
-                parent[p] = p
-                if not mask[y, x]:
-                    continue
-                # union with the already-scanned half of the 8-neighborhood
-                if x > 0 and mask[y, x - 1]:
-                    ra = _find_root(parent, p)
-                    rb = _find_root(parent, p - 1)
-                    if ra != rb:
-                        parent[ra] = rb
-                if y > 0:
-                    if x > 0 and mask[y - 1, x - 1]:
-                        ra = _find_root(parent, p)
-                        rb = _find_root(parent, p - w - 1)
-                        if ra != rb:
-                            parent[ra] = rb
-                    if mask[y - 1, x]:
-                        ra = _find_root(parent, p)
-                        rb = _find_root(parent, p - w)
-                        if ra != rb:
-                            parent[ra] = rb
-                    if x < w - 1 and mask[y - 1, x + 1]:
-                        ra = _find_root(parent, p)
-                        rb = _find_root(parent, p - w + 1)
-                        if ra != rb:
-                            parent[ra] = rb
-        count = 0
-        for y in range(h):
-            row = y * w
-            for x in range(w):
-                p = row + x
-                if mask[y, x] and parent[p] == p:
-                    count += 1
-        return count
-
-    def sobel_l1_numba(img: np.ndarray) -> np.ndarray:
-        return _sobel_l1_jit(img)
-
-    def count_components_numba(mask: np.ndarray) -> int:
-        return int(_count_components_jit(mask))
-
-else:  # pragma: no cover - exercised only without numba
-    sobel_l1_numba = None
-    count_components_numba = None
-
-
-def sobel_l1(img: np.ndarray) -> np.ndarray:
-    """L1 Sobel magnitude of an int32 image, zero border ring."""
-    if USE_NUMBA:
-        return sobel_l1_numba(img)
-    return sobel_l1_numpy(img)
-
-
-def count_components(mask: np.ndarray) -> int:
-    """Number of 8-connected components of True pixels in a boolean mask."""
-    mask = np.ascontiguousarray(mask)
-    if USE_NUMBA:
-        return count_components_numba(mask)
-    return count_components_numpy(mask)

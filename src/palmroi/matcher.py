@@ -8,12 +8,13 @@ nearest template is within a caller-supplied threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .features import format_features, parse_features
+from .image import open_ascii_text
 
 METRICS = ("euclidean", "manhattan")
 
@@ -41,7 +42,6 @@ class EvaluationReport:
     total: int
     correct: int
     R: float
-    per_k: dict[int, float] = field(default_factory=dict)
 
 
 def enroll(samples: Iterable[tuple[str, str, np.ndarray]]) -> TemplateDB:
@@ -127,7 +127,7 @@ def save_db(db: TemplateDB, path) -> None:
 
 def load_db(path) -> TemplateDB:
     samples = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -136,19 +136,17 @@ def load_db(path) -> TemplateDB:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             palm_id, sample_id, k_text, values_text = parts
-            values = parse_features(values_text)
-            if int(k_text) != values.size:
+            try:
+                k = int(k_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: k must be an integer, got {k_text!r}") from None
+            try:
+                values = parse_features(values_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if k != values.size:
                 raise ValueError(
                     f"{path}:{lineno}: declared k={k_text} but {values.size} values"
                 )
             samples.append((palm_id, sample_id, values))
     return enroll(samples)
-
-
-def format_report_csv(per_k_reports: dict[int, EvaluationReport]) -> str:
-    """CSV with header ``k,total,correct,R``, one row per feature size."""
-    lines = ["k,total,correct,R"]
-    for k in sorted(per_k_reports):
-        rep = per_k_reports[k]
-        lines.append(f"{k},{rep.total},{rep.correct},{rep.R:.6f}")
-    return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import save_pgm
+from .image import open_ascii_text, save_pgm
 from .rng import SplitMix64, mix, normal_field, stream_floats
 
 DEFAULT_WIDTH = 384
@@ -327,7 +327,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     """Parse a manifest; relative paths resolve against the manifest's directory."""
     base = Path(path).parent
     entries = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

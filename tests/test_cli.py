@@ -170,6 +170,39 @@ class TestEnrollIdentifyVerify:
         assert rc == 1
         assert "not enrolled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["auto", "1 2 3"])
+    def test_identify_rejects_per_image_auto_like_a_malformed_rect(self, corpus_dir, enrolled, capsys, spec):
+        db_path, _ = enrolled
+        rc = main(["identify", "--db", str(db_path), "--image", str(corpus_dir / "p000_s00.pgm"), "--roi", spec])
+        assert rc == 1
+        assert "expected 'x0 y0 width height'" in capsys.readouterr().err
+
+
+class TestParseErrors:
+    """Malformed manifests and template DBs exit 1 with a message that starts with path:line."""
+
+    def test_non_ascii_manifest(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        good = f"{corpus_dir / 'p000_s00.pgm'}\tp000\ts00\n"
+        manifest.write_bytes(good.encode() + "p\u00e9\tp001\ts00\n".encode("utf-8"))
+        assert main(["evaluate", "--manifest", str(manifest)]) == 1
+        assert f"palmroi: error: {manifest}:2: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"p1\ts0\t2\t0.5,caf\xc3\xa9", "non-ASCII byte 0xc3"),
+            (b"p1\ts0\ttwo\t0.500000,1.000000", "k must be an integer, got 'two'"),
+            (b"p1\ts0\t2\t0.500000,,1.000000", "malformed feature vector"),
+        ],
+    )
+    def test_bad_db_line(self, corpus_dir, tmp_path, capsys, row, message):
+        db = tmp_path / "db.tsv"
+        db.write_bytes(b"# header\np0\ts0\t2\t0.500000,1.000000\n" + row + b"\n")
+        rc = main(["identify", "--db", str(db), "--image", str(corpus_dir / "p000_s00.pgm")])
+        assert rc == 1
+        assert f"palmroi: error: {db}:3: {message}" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_writes_csv_and_stdout(self, corpus_dir, tmp_path, capsys):

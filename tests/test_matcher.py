@@ -6,7 +6,6 @@ from palmroi.matcher import (
     accuracy,
     distance,
     enroll,
-    format_report_csv,
     identify,
     load_db,
     save_db,
@@ -193,7 +192,3 @@ class TestDbFile:
         with pytest.raises(ValueError, match="declared k"):
             load_db(path)
 
-    def test_report_csv_format(self):
-        reports = {16: accuracy([("a", "a")] * 54 + [("a", "b")] * 6)}
-        text = format_report_csv(reports)
-        assert text == "k,total,correct,R\n16,60,54,0.900000\n"
