@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import edges, matcher, roi, synth
 from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation
-from .features import extract_features
+from .features import extract_features, features_from_mask
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
 
@@ -40,10 +40,10 @@ def _parse_rect(text: str) -> RoiRect:
     return RoiRect(x0, y0, w, h)
 
 
-def _resolve_rect(spec: str, img) -> RoiRect:
+def _resolve_rect(spec: str, mask) -> RoiRect:
     """ROI spec: 'full', '@file' sidecar, or 'x0 y0 w h'."""
     if spec == "full":
-        return full_rect(img)
+        return full_rect(mask)
     if spec.startswith("@"):
         return _parse_rect(Path(spec[1:]).read_text())
     return _parse_rect(spec)
@@ -90,26 +90,21 @@ def cmd_histcmp(args) -> int:
 
 def _image_features(path, rect_spec, k, edge_threshold):
     img = load_pgm(path)
-    rect = _resolve_rect(rect_spec, img)
-    return extract_features(img, rect, k, edge_threshold), rect
+    return extract_features(img, _resolve_rect(rect_spec, img), k, edge_threshold)
 
 
 def cmd_enroll(args) -> int:
     entries = synth.read_manifest(args.manifest)
+    masks = (edges.edge_mask(load_pgm(e.path), args.edge_threshold) for e in entries)
     if args.roi == "auto":
+        masks = list(masks)
         params = roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
-        images = [load_pgm(e.path) for e in entries]
-        rect = roi.common_roi([roi.keep_ranges(img, params) for img in images], args.strip_px)
-        samples = [
-            (e.palm_id, e.sample_id, extract_features(img, rect, args.k, args.edge_threshold))
-            for e, img in zip(entries, images)
-        ]
-    else:
-        rect = None
-        samples = []
-        for e in entries:
-            feats, rect = _image_features(e.path, args.roi, args.k, args.edge_threshold)
-            samples.append((e.palm_id, e.sample_id, feats))
+        rect = roi.common_roi([roi.ranges_from_mask(m, params) for m in masks], args.strip_px)
+    samples = []
+    for e, m in zip(entries, masks):
+        if args.roi != "auto":
+            rect = _resolve_rect(args.roi, m)
+        samples.append((e.palm_id, e.sample_id, features_from_mask(m, rect, args.k)))
     db = matcher.enroll(samples)
     matcher.save_db(db, args.out)
     if args.roi_out:
@@ -120,7 +115,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_identify(args) -> int:
     db = matcher.load_db(args.db)
-    feats, _ = _image_features(args.image, args.roi, db.k, args.edge_threshold)
+    feats = _image_features(args.image, args.roi, db.k, args.edge_threshold)
     palm_id, dist = matcher.identify(feats, db, args.metric)
     print(f"{palm_id}\t{dist:.6f}")
     return 0
@@ -128,7 +123,7 @@ def cmd_identify(args) -> int:
 
 def cmd_verify(args) -> int:
     db = matcher.load_db(args.db)
-    feats, _ = _image_features(args.image, args.roi, db.k, args.edge_threshold)
+    feats = _image_features(args.image, args.roi, db.k, args.edge_threshold)
     accepted = matcher.verify(feats, db, args.claim, args.tau, args.metric)
     print("accept" if accepted else "reject")
     return 0

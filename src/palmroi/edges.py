@@ -1,9 +1,9 @@
-"""Sobel gradients, binarization and connected-line counting ("busyness").
+"""Sobel edge mask and connected-line counting ("busyness").
 
-The busyness of a region is the number of 8-connected components in the
-binarized Sobel edge map, with the gradient always computed over the full
-image so region borders see true gradients; pixels outside the region are
-treated as non-edge when counting.
+The busyness of a region is the number of 8-connected components of the
+edge mask within it. The mask is computed once over the full image, so
+region borders see true gradients; pixels outside the region are treated
+as non-edge when counting.
 """
 
 from __future__ import annotations
@@ -11,31 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .image import RoiRect, check_image, check_rect
+from .image import RoiRect, check_image
 
-# |Gx| + |Gy| of a uint8 image is at most 4*255 + 4*255
-MAX_MAGNITUDE = 2040
 DEFAULT_EDGE_THRESHOLD = 96
 
 
-def sobel_magnitude(img: np.ndarray) -> np.ndarray:
-    """L1 Sobel magnitude (|Gx| + |Gy|) per pixel, int32; border ring is 0."""
+def edge_mask(img: np.ndarray, threshold: int = DEFAULT_EDGE_THRESHOLD) -> np.ndarray:
+    """Edge pixels of a uint8 image: L1 Sobel magnitude |Gx| + |Gy| >= threshold.
+
+    The border ring has magnitude 0, so it is edge only at threshold 0.
+    """
     check_image(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError(f"image smaller than 3x3: {img.shape[1]}x{img.shape[0]}")
-    return kernels.sobel_l1(img.astype(np.int32))
-
-
-def binarize(grad: np.ndarray, threshold: int) -> np.ndarray:
-    """Edge mask: magnitude >= threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return np.asarray(grad) >= threshold
-
-
-def edge_mask(img: np.ndarray, threshold: int = DEFAULT_EDGE_THRESHOLD) -> np.ndarray:
-    """Binarized Sobel edge map of the full image."""
-    return binarize(sobel_magnitude(img), threshold)
+    return kernels.sobel_l1(img.astype(np.int32)) >= threshold
 
 
 def count_connected_lines(mask: np.ndarray, rect: RoiRect) -> int:
@@ -45,10 +36,3 @@ def count_connected_lines(mask: np.ndarray, rect: RoiRect) -> int:
     if not rect.within(mask.shape):
         raise ValueError(f"rect {rect} out of bounds for mask {mask.shape}")
     return kernels.count_components(mask[rect.slices])
-
-
-def busyness(img: np.ndarray, rect: RoiRect, edge_threshold: int = DEFAULT_EDGE_THRESHOLD) -> int:
-    """Connected-line count of the image's edge map restricted to rect."""
-    check_image(img)
-    check_rect(img, rect)
-    return count_connected_lines(edge_mask(img, edge_threshold), rect)

@@ -11,7 +11,7 @@ in manifest order, so the report is byte-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import edges, matcher, roi
 from .features import features_from_mask
@@ -45,7 +45,6 @@ class EvaluationResult:
     roi_rect: "roi.RoiRect"
     train_count: int
     test_count: int
-    reports: dict[tuple[str, int], matcher.EvaluationReport] = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["mode,k,total,correct,R"]
@@ -134,6 +133,5 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
                 for e, f in zip(test_entries, feats_test)
             ]
             report = matcher.accuracy(predictions)
-            result.reports[(mode, k)] = report
             result.rows.append((mode, k, report.total, report.correct, report.R))
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import edges
-from .image import RoiRect, check_image, check_rect
+from .image import RoiRect, check_rect
 
 # k -> (rows, cols)
 GRID_SHAPES = {4: (2, 2), 8: (2, 4), 16: (4, 4)}
@@ -37,7 +37,13 @@ def subregion_grid(rect: RoiRect, k: int) -> list[RoiRect]:
 
 
 def features_from_mask(mask: np.ndarray, rect: RoiRect, k: int) -> np.ndarray:
-    """Normalized per-cell component counts from a precomputed edge mask."""
+    """Length-k feature vector of an edge mask over rect; values in [0, 1].
+
+    The busiest cell maps to 1.0; an edge-free region maps to the zero
+    vector. The mask covers the full image, so cell borders inside the ROI
+    see true edges.
+    """
+    check_rect(mask, rect)
     raw = np.array(
         [edges.count_connected_lines(mask, cell) for cell in subregion_grid(rect, k)],
         dtype=np.float64,
@@ -52,14 +58,7 @@ def extract_features(
     k: int,
     edge_threshold: int = edges.DEFAULT_EDGE_THRESHOLD,
 ) -> np.ndarray:
-    """Length-k feature vector of img over rect; values in [0, 1].
-
-    The busiest cell maps to 1.0; an edge-free region maps to the zero
-    vector. Gradients come from the full image, so cell borders inside the
-    ROI see true edges.
-    """
-    check_image(img)
-    check_rect(img, rect)
+    """Features of one image: ``features_from_mask`` of its edge mask."""
     return features_from_mask(edges.edge_mask(img, edge_threshold), rect, k)
 
 

@@ -55,14 +55,6 @@ class RoiRect:
         h, w = shape
         return self.x1 <= w and self.y1 <= h
 
-    def contains(self, other: "RoiRect") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
-
 
 def full_rect(img: np.ndarray) -> RoiRect:
     """Rect covering the whole image."""

@@ -17,8 +17,6 @@ The scalar class and the vectorized stream functions are bit-identical.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -75,12 +73,6 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """One Gaussian draw via Box-Muller (cosine branch, two u64 each)."""
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * _INV_2_53        # [0, 1)
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import edges
-from .image import RoiRect, check_image
+from .image import RoiRect
 
 ORIENTATIONS = ("horizontal", "vertical")
 
@@ -105,21 +105,13 @@ def _strip_rects(shape: tuple[int, int], orientation: str, strip_px: int) -> lis
     raise ValueError(f"orientation must be one of {ORIENTATIONS}")
 
 
-def _profile_from_mask(
-    mask: np.ndarray, orientation: str, params: RoiParams
-) -> StripProfile:
+def strip_profile(mask: np.ndarray, orientation: str, params: RoiParams = RoiParams()) -> StripProfile:
+    """Busyness profile of one orientation's strips of an edge mask."""
     counts = [
         edges.count_connected_lines(mask, rect)
         for rect in _strip_rects(mask.shape, orientation, params.strip_px)
     ]
     return StripProfile.from_counts(counts, orientation, params.strip_px, params.n)
-
-
-def strip_profile(img: np.ndarray, orientation: str, params: RoiParams = RoiParams()) -> StripProfile:
-    """Busyness profile of one orientation's strips (Sobel over the full image)."""
-    check_image(img)
-    mask = edges.edge_mask(img, params.edge_threshold)
-    return _profile_from_mask(mask, orientation, params)
 
 
 def trim_strips(profile: StripProfile) -> KeepRange:
@@ -141,14 +133,17 @@ def trim_strips(profile: StripProfile) -> KeepRange:
     return KeepRange(first, last)
 
 
+def ranges_from_mask(mask: np.ndarray, params: RoiParams = RoiParams()) -> tuple[KeepRange, KeepRange]:
+    """(horizontal, vertical) keep ranges of one edge mask."""
+    return (
+        trim_strips(strip_profile(mask, "horizontal", params)),
+        trim_strips(strip_profile(mask, "vertical", params)),
+    )
+
+
 def keep_ranges(img: np.ndarray, params: RoiParams = RoiParams()) -> tuple[KeepRange, KeepRange]:
     """(horizontal, vertical) keep ranges of one image, from a single edge pass."""
-    check_image(img)
-    mask = edges.edge_mask(img, params.edge_threshold)
-    return (
-        trim_strips(_profile_from_mask(mask, "horizontal", params)),
-        trim_strips(_profile_from_mask(mask, "vertical", params)),
-    )
+    return ranges_from_mask(edges.edge_mask(img, params.edge_threshold), params)
 
 
 def rect_from_ranges(h_range: KeepRange, v_range: KeepRange, strip_px: int) -> RoiRect:

@@ -16,6 +16,7 @@ rendering stays integer-exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -68,10 +69,6 @@ class PalmModel:
     ridge_patch_prob: float  # fraction of content blocks carrying ridge noise
     principal_lines: tuple[Stroke, ...]  # the 3 dominant creases
     wrinkles: tuple[Stroke, ...]
-
-    @property
-    def wrinkle_count(self) -> int:
-        return len(self.wrinkles)
 
     @classmethod
     def from_seed(
@@ -205,6 +202,26 @@ def _stamp_stroke(canvas: np.ndarray, stroke: Stroke, dx: int, dy: int, value: i
     canvas[yy[ok], xx[ok]] = float(value)
 
 
+@functools.lru_cache(maxsize=1)
+def _ridge_layer(model: PalmModel) -> np.ndarray:
+    """The identity's ridge noise over the content box, zero outside its active blocks.
+
+    It is the same for every sample of the model, so it is built once per
+    model; a corpus renders identity by identity. Read-only.
+    """
+    m = model.margin
+    iw, ih = model.width - 2 * m, model.height - 2 * m
+    field = normal_field(mix(model.identity_seed, _TAG_RIDGE), (ih, iw), model.ridge_noise_sigma)
+    nby = -(-ih // _PATCH_BLOCK)
+    nbx = -(-iw // _PATCH_BLOCK)
+    u = stream_floats(mix(model.identity_seed, _TAG_PATCH), nby * nbx)
+    active = (u < model.ridge_patch_prob).reshape(nby, nbx)
+    patch = np.repeat(np.repeat(active, _PATCH_BLOCK, axis=0), _PATCH_BLOCK, axis=1)
+    layer = field * patch[:ih, :iw]
+    layer.flags.writeable = False
+    return layer
+
+
 def generate_palm(
     model: PalmModel, jitter: SampleJitter, width: int | None = None, height: int | None = None
 ) -> np.ndarray:
@@ -213,7 +230,8 @@ def generate_palm(
     Rendering order: base gray, ridge noise over the active content blocks,
     wrinkles, then principal lines on top; additive sensor noise last. The
     margin ring carries only base gray plus the sensor noise. Deterministic
-    in (model, jitter, dims).
+    in (model, jitter, dims). The jitter's translation may not exceed the
+    model's margin, which keeps the content box inside the frame.
     """
     width = model.width if width is None else width
     height = model.height if height is None else height
@@ -222,21 +240,19 @@ def generate_palm(
             f"frame {width}x{height} does not match model frame "
             f"{model.width}x{model.height}"
         )
+    if jitter.max_translation > model.margin:
+        raise ValueError(
+            f"margin {model.margin} is smaller than the max translation {jitter.max_translation}"
+        )
     dx, dy = sample_translation(jitter)
     wobble_rng = SplitMix64(mix(jitter.sample_seed, _TAG_WOBBLE))
 
     canvas = np.full((height, width), float(model.base_gray), dtype=np.float64)
 
-    m = model.margin
-    iw, ih = width - 2 * m, height - 2 * m
     if model.ridge_noise_sigma > 0:
-        field = normal_field(mix(model.identity_seed, _TAG_RIDGE), (ih, iw), model.ridge_noise_sigma)
-        nby = -(-ih // _PATCH_BLOCK)
-        nbx = -(-iw // _PATCH_BLOCK)
-        u = stream_floats(mix(model.identity_seed, _TAG_PATCH), nby * nbx)
-        active = (u < model.ridge_patch_prob).reshape(nby, nbx)
-        patch = np.repeat(np.repeat(active, _PATCH_BLOCK, axis=0), _PATCH_BLOCK, axis=1)
-        canvas[m + dy : m + dy + ih, m + dx : m + dx + iw] += field * patch[:ih, :iw]
+        layer = _ridge_layer(model)
+        y0, x0 = model.margin + dy, model.margin + dx
+        canvas[y0 : y0 + layer.shape[0], x0 : x0 + layer.shape[1]] += layer
 
     for stroke in model.wrinkles + model.principal_lines:
         ij = jitter.intensity_jitter
@@ -248,22 +264,6 @@ def generate_palm(
         canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), (height, width), jitter.noise_sigma)
 
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
-
-
-def stroke_bounding_box(strokes, dx: int = 0, dy: int = 0) -> tuple[int, int, int, int]:
-    """(x_min, y_min, x_max, y_max) over control points plus stamp radius."""
-    xs, ys, pad = [], [], 0
-    for s in strokes:
-        for x, y in (s.p0, s.p1, s.p2):
-            xs.append(x + dx)
-            ys.append(y + dy)
-        pad = max(pad, int(math.ceil(s.thickness / 2.0)))
-    return (
-        int(math.floor(min(xs))) - pad,
-        int(math.floor(min(ys))) - pad,
-        int(math.ceil(max(xs))) + pad,
-        int(math.ceil(max(ys))) + pad,
-    )
 
 
 class ManifestEntry(NamedTuple):

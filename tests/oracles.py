@@ -5,6 +5,8 @@ package: flood fill instead of union-find, per-pixel kernel application
 instead of vectorized slicing, linear scans instead of the library's paths.
 """
 
+import math
+
 import numpy as np
 
 SOBEL_GX = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
@@ -84,3 +86,36 @@ def nearest_template_linear(query, templates, offset=0.0):
         if best_d is None or d < best_d:
             best_i, best_d = i, d
     return best_i, best_d
+
+
+def rect_contains(outer, inner) -> bool:
+    """True if RoiRect inner lies entirely inside RoiRect outer."""
+    return (
+        outer.x0 <= inner.x0
+        and outer.y0 <= inner.y0
+        and inner.x1 <= outer.x1
+        and inner.y1 <= outer.y1
+    )
+
+
+def stroke_bounding_box(strokes, dx=0, dy=0):
+    """(x_min, y_min, x_max, y_max) over control points plus stamp radius."""
+    xs, ys, pad = [], [], 0
+    for s in strokes:
+        for x, y in (s.p0, s.p1, s.p2):
+            xs.append(x + dx)
+            ys.append(y + dy)
+        pad = max(pad, int(math.ceil(s.thickness / 2.0)))
+    return (
+        int(math.floor(min(xs))) - pad,
+        int(math.floor(min(ys))) - pad,
+        int(math.ceil(max(xs))) + pad,
+        int(math.ceil(max(ys))) + pad,
+    )
+
+
+def box_muller_normal(rng, mu=0.0, sigma=1.0) -> float:
+    """One Gaussian draw from a SplitMix64 stream: Box-Muller cosine branch, two u64s."""
+    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
+    u2 = (rng.next_u64() >> 11) * 2.0**-53  # [0, 1)
+    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

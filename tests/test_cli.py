@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from palmroi.cli import main
 from palmroi.image import load_pgm, save_pgm
 from palmroi.matcher import load_db
@@ -36,8 +37,7 @@ class TestExtractRoi:
             identity_seed_for,
             sample_seed_for,
             sample_translation,
-            stroke_bounding_box,
-        )
+                )
 
         src = corpus_dir / "p000_s00.pgm"
         out = tmp_path / "roi.pgm"
@@ -45,7 +45,7 @@ class TestExtractRoi:
         x0, y0, w, h = (int(v) for v in capsys.readouterr().out.split())
         model = PalmModel.from_seed(identity_seed_for(5, 0))
         dx, dy = sample_translation(SampleJitter(sample_seed_for(5, 0, 0)))
-        bx0, by0, bx1, by1 = stroke_bounding_box(model.principal_lines, dx, dy)
+        bx0, by0, bx1, by1 = oracles.stroke_bounding_box(model.principal_lines, dx, dy)
         assert x0 <= bx0 and y0 <= by0 and bx1 <= x0 + w and by1 <= y0 + h
 
     def test_missing_file_is_exit_2(self, tmp_path, capsys):

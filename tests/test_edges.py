@@ -2,49 +2,56 @@ import numpy as np
 import pytest
 
 import oracles
-from palmroi.edges import binarize, busyness, count_connected_lines, edge_mask, sobel_magnitude
+from palmroi.edges import count_connected_lines, edge_mask
 from palmroi.image import RoiRect, full_rect
 
 
 class TestSobel:
     def test_constant_image_zero_field(self):
         img = np.full((10, 12), 57, dtype=np.uint8)
-        assert (sobel_magnitude(img) == 0).all()
+        assert edge_mask(img, 0).all()
+        assert not edge_mask(img, 1).any()
 
     def test_vertical_step_magnitude(self):
-        # columns 0..4 are 0, columns 5.. are 255
+        # columns 0..4 are 0, columns 5.. are 255: magnitude 4*255 on columns 4 and 5
         img = np.zeros((9, 11), dtype=np.uint8)
         img[:, 5:] = 255
-        grad = sobel_magnitude(img)
-        assert (grad[1:-1, 4] == 4 * 255).all()
-        assert (grad[1:-1, 5] == 4 * 255).all()
-        assert (grad[:, :4] == 0).all() and (grad[:, 7:] == 0).all()
-        assert (grad[0, :] == 0).all() and (grad[-1, :] == 0).all()
+        step = np.zeros(img.shape, dtype=bool)
+        step[1:-1, 4:6] = True
+        assert (edge_mask(img, 1) == step).all()
+        assert (edge_mask(img, 4 * 255) == step).all()
+        assert not edge_mask(img, 4 * 255 + 1).any()
 
     def test_transpose_swaps_gradient_roles(self):
         rng = np.random.default_rng(21)
         img = rng.integers(0, 256, (15, 23)).astype(np.uint8)
-        assert (sobel_magnitude(img.T.copy()) == sobel_magnitude(img).T).all()
+        for threshold in (1, 96, 500, 1200):
+            assert (edge_mask(img.T.copy(), threshold) == edge_mask(img, threshold).T).all()
 
     def test_matches_reference_on_randoms(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            img = rng.integers(0, 256, (12, 17)).astype(np.uint8)
-            assert (sobel_magnitude(img) == oracles.sobel_l1_reference(img)).all()
+            img = rng.integers(0, 256, (rng.integers(3, 30), rng.integers(3, 30))).astype(np.uint8)
+            grad = oracles.sobel_l1_reference(img)
+            for threshold in (0, 1, 96, 2040, 2041, int(rng.integers(0, 2042))):
+                assert (edge_mask(img, threshold) == (grad >= threshold)).all()
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="3x3"):
-            sobel_magnitude(np.zeros((2, 5), dtype=np.uint8))
+            edge_mask(np.zeros((2, 5), dtype=np.uint8))
 
 
 class TestBinarize:
     def test_threshold_zero_all_true(self):
-        grad = np.array([[0, 5], [7, 0]])
-        assert binarize(grad, 0).all()
+        rng = np.random.default_rng(20)
+        img = rng.integers(0, 256, (7, 9)).astype(np.uint8)
+        assert edge_mask(img, 0).all()  # the border ring too: magnitude 0 >= 0
 
     def test_above_max_all_false(self):
-        grad = np.array([[0, 5], [7, 0]])
-        assert not binarize(grad, 8).any()
+        img = np.zeros((9, 9), dtype=np.uint8)
+        img[4:, 4:] = 255  # a corner step: the largest |Gx| + |Gy| is 1530, below 4 * 255 + 4 * 255
+        assert edge_mask(img, 1530).any()
+        assert not edge_mask(img, 1531).any()
 
     def test_constant_image_any_positive_threshold(self):
         img = np.full((8, 8), 200, dtype=np.uint8)
@@ -52,13 +59,13 @@ class TestBinarize:
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(23)
-        grad = rng.integers(0, 2041, (20, 20))
-        lo, hi = binarize(grad, 100), binarize(grad, 300)
+        img = rng.integers(0, 256, (20, 20)).astype(np.uint8)
+        lo, hi = edge_mask(img, 100), edge_mask(img, 300)
         assert (hi <= lo).all()
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            binarize(np.zeros((3, 3)), -1)
+        with pytest.raises(ValueError, match="threshold"):
+            edge_mask(np.zeros((3, 3), dtype=np.uint8), -1)
 
 
 class TestCountConnectedLines:
@@ -103,16 +110,19 @@ class TestCountConnectedLines:
 
 
 class TestBusyness:
+    """Connected-line counts of an image's edge mask within a rect."""
+
     def test_constant_image_any_rect(self):
         img = np.full((20, 20), 90, dtype=np.uint8)
-        assert busyness(img, RoiRect(3, 3, 10, 10), 96) == 0
+        assert count_connected_lines(edge_mask(img, 96), RoiRect(3, 3, 10, 10)) == 0
 
     def test_line_crossing_two_strips(self):
         img = np.full((20, 40), 200, dtype=np.uint8)
         img[9:11, 5:35] = 30  # dark horizontal bar across both halves
+        mask = edge_mask(img, 96)
         left, right = RoiRect(0, 0, 20, 20), RoiRect(20, 0, 20, 20)
-        assert busyness(img, left, 96) >= 1
-        assert busyness(img, right, 96) >= 1
+        assert count_connected_lines(mask, left) >= 1
+        assert count_connected_lines(mask, right) >= 1
 
     def test_composition_matches_oracle_pipeline(self):
         rng = np.random.default_rng(26)
@@ -121,4 +131,4 @@ class TestBusyness:
             threshold = int(rng.integers(50, 400))
             grad = oracles.sobel_l1_reference(img)
             expected = oracles.flood_fill_count(grad >= threshold)
-            assert busyness(img, full_rect(img), threshold) == expected
+            assert count_connected_lines(edge_mask(img, threshold), full_rect(img)) == expected

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from palmroi.edges import busyness
+from palmroi.edges import count_connected_lines, edge_mask
 from palmroi.features import (
     extract_features,
+    features_from_mask,
     format_features,
     parse_features,
     subregion_grid,
@@ -111,15 +112,21 @@ class TestExtractFeatures:
 
     def test_k16_cells_aggregate_to_at_least_quadrant_counts(self):
         rng = np.random.default_rng(42)
-        img = rng.integers(0, 256, (80, 80)).astype(np.uint8)
+        mask = edge_mask(rng.integers(0, 256, (80, 80)).astype(np.uint8), 96)
         rect = RoiRect(0, 0, 80, 80)
         quadrants = subregion_grid(rect, 4)
         cells = subregion_grid(rect, 16)
         for qi, quad in enumerate(quadrants):
-            sub = [c for c in cells if quad.contains(c)]
+            sub = [c for c in cells if oracles.rect_contains(quad, c)]
             assert len(sub) == 4
-            cell_sum = sum(busyness(img, c, 96) for c in sub)
-            assert cell_sum >= busyness(img, quad, 96)
+            cell_sum = sum(count_connected_lines(mask, c) for c in sub)
+            assert cell_sum >= count_connected_lines(mask, quad)
+
+    def test_features_from_mask_checks_the_whole_rect_first(self):
+        # the first 2x2 cell (40, 0, 30, 30) fits the 80x60 mask; the rect does not
+        mask = np.zeros((60, 80), dtype=bool)
+        with pytest.raises(ValueError, match=r"rect RoiRect\(x0=40, y0=0, width=60, height=60\) out of bounds"):
+            features_from_mask(mask, RoiRect(40, 0, 60, 60), 4)
 
 
 class TestSerialization:

@@ -183,8 +183,3 @@ class TestRoiRect:
             RoiRect(0, 0, 0, 5)
         with pytest.raises(ValueError):
             RoiRect(-1, 0, 5, 5)
-
-    def test_contains(self):
-        outer = RoiRect(0, 0, 10, 10)
-        assert outer.contains(RoiRect(2, 2, 3, 3))
-        assert not outer.contains(RoiRect(8, 8, 3, 3))

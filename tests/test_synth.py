@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from palmroi import roi
+from palmroi.edges import edge_mask
 from palmroi.image import load_pgm
 from palmroi.synth import (
     PalmModel,
@@ -14,7 +16,6 @@ from palmroi.synth import (
     read_manifest,
     sample_seed_for,
     sample_translation,
-    stroke_bounding_box,
     write_manifest,
 )
 
@@ -34,7 +35,7 @@ class TestPalmModel:
         for i in range(12):
             model = default_model(i)
             assert 120 <= model.base_gray <= 200
-            assert 8 <= model.wrinkle_count <= 20
+            assert 8 <= len(model.wrinkles) <= 20
             assert len(model.principal_lines) == 3
             for stroke in model.principal_lines:
                 assert 3 <= stroke.thickness <= 5
@@ -44,7 +45,7 @@ class TestPalmModel:
     def test_strokes_confined_to_content_box(self):
         for i in range(12):
             model = default_model(i)
-            x0, y0, x1, y1 = stroke_bounding_box(model.principal_lines + model.wrinkles)
+            x0, y0, x1, y1 = oracles.stroke_bounding_box(model.principal_lines + model.wrinkles)
             # stamp radius included; translation of up to 6 px must stay inside
             assert x0 - 6 >= 0 and y0 - 6 >= 0
             assert x1 + 6 <= model.width and y1 + 6 <= model.height
@@ -81,7 +82,7 @@ class TestGeneratePalm:
         assert values == expected
         # every non-background pixel lies inside the line bounding box
         ys, xs = np.nonzero(img != model.base_gray)
-        bx0, by0, bx1, by1 = stroke_bounding_box(model.principal_lines)
+        bx0, by0, bx1, by1 = oracles.stroke_bounding_box(model.principal_lines)
         assert xs.min() >= bx0 and xs.max() <= bx1
         assert ys.min() >= by0 and ys.max() <= by1
 
@@ -100,6 +101,15 @@ class TestGeneratePalm:
         ).astype(np.float64)
         assert abs(border.mean() - model.base_gray) < 1.0
         assert border.std() < 2 * jitter.noise_sigma
+
+    @pytest.mark.parametrize("margin", [0, 5])
+    def test_margin_below_max_translation_rejected(self, tmp_path, margin):
+        with pytest.raises(ValueError, match="margin"):
+            generate_corpus(1, 2, 42, tmp_path / "c", margin=margin)
+
+    def test_margin_equal_to_max_translation_renders(self, tmp_path):
+        _, entries = generate_corpus(1, 2, 42, tmp_path / "c", margin=6)
+        assert all(load_pgm(e.path).shape == (284, 384) for e in entries)
 
     def test_mismatched_frame_rejected(self):
         model = default_model()
@@ -195,7 +205,7 @@ class TestRoiInvariantsOnCorpus:
             model = PalmModel.from_seed(identity_seed_for(42, identity))
             jitter = SampleJitter(sample_seed_for(42, identity, sample))
             dx, dy = sample_translation(jitter)
-            bx0, by0, bx1, by1 = stroke_bounding_box(model.principal_lines, dx, dy)
+            bx0, by0, bx1, by1 = oracles.stroke_bounding_box(model.principal_lines, dx, dy)
             rect = roi.extract_roi(load_pgm(e.path), params)
             assert rect.x0 <= bx0 and rect.y0 <= by0
             assert bx1 <= rect.x1 and by1 <= rect.y1
@@ -207,7 +217,7 @@ class TestRoiInvariantsOnCorpus:
         for e in entries[::7]:
             img = load_pgm(e.path)
             for orientation, extent in (("horizontal", img.shape[0]), ("vertical", img.shape[1])):
-                prof = roi.strip_profile(img, orientation, params)
+                prof = roi.strip_profile(edge_mask(img, params.edge_threshold), orientation, params)
                 for idx, count in enumerate(prof.numlines):
                     lo, hi = idx * params.strip_px, (idx + 1) * params.strip_px
                     if hi <= guard or lo >= extent - guard:
