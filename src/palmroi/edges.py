@@ -26,7 +26,7 @@ def edge_mask(img: np.ndarray, threshold: int = DEFAULT_EDGE_THRESHOLD) -> np.nd
         raise ValueError(f"image smaller than 3x3: {img.shape[1]}x{img.shape[0]}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return kernels.sobel_l1(img.astype(np.int32)) >= threshold
+    return kernels.sobel_l1(img) >= threshold
 
 
 def count_connected_lines(mask: np.ndarray, rect: RoiRect) -> int:

@@ -8,6 +8,7 @@ nearest template is within a caller-supplied threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,10 +75,11 @@ def distance(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    d = a - b
     if metric == "euclidean":
-        return float(np.sqrt(np.sum((a - b) ** 2)))
+        return math.sqrt(np.add.reduce(d * d))
     if metric == "manhattan":
-        return float(np.sum(np.abs(a - b)))
+        return float(np.add.reduce(np.abs(d)))
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from palmroi.edges import count_connected_lines, edge_mask
@@ -35,6 +37,15 @@ class TestSobel:
             grad = oracles.sobel_l1_reference(img)
             for threshold in (0, 1, 96, 2040, 2041, int(rng.integers(0, 2042))):
                 assert (edge_mask(img, threshold) == (grad >= threshold)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    def test_int16_headroom_on_extreme_images(self, h, w, seed):
+        # pixels only 0 or 255 give the largest gradients |Gx| + |Gy| can reach
+        img = np.random.default_rng(seed).choice(np.array([0, 255], dtype=np.uint8), (h, w))
+        grad = oracles.sobel_l1_reference(img)
+        for threshold in (0, 1, 1020, 1529, 1530, 1531, 2041):
+            assert (edge_mask(img, threshold) == (grad >= threshold)).all()
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="3x3"):

@@ -22,8 +22,20 @@ def test_active_backend_matches_flood_fill():
 def test_sobel_backends_match_reference():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        img = rng.integers(0, 256, (rng.integers(3, 30), rng.integers(3, 30))).astype(np.int32)
+        img = rng.integers(0, 256, (rng.integers(3, 30), rng.integers(3, 30))).astype(np.uint8)
         assert (kernels.sobel_l1(img) == oracles.sobel_l1_reference(img)).all()
+
+
+def test_sobel_peaks_at_1530_on_binary_windows():
+    # |Gx| + |Gy| is convex in the pixels, so its maximum over uint8 images is at
+    # a 0/255 window; all 512 of them reach 1530 and never more
+    peaks = []
+    for bits in range(512):
+        window = np.array([255 * ((bits >> i) & 1) for i in range(9)], dtype=np.uint8).reshape(3, 3)
+        out = kernels.sobel_l1(window)
+        assert out[1, 1] == oracles.sobel_l1_reference(window)[1, 1]
+        peaks.append(int(out[1, 1]))
+    assert max(peaks) == 1530
 
 
 def test_count_accepts_strided_views():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from palmroi.matcher import (
@@ -72,6 +74,26 @@ class TestDistance:
         y = x.copy()
         y[3] += 1e-9
         assert distance(x, y) > 0  # zero only for equal vectors
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two float vectors of one length in 1..16; sometimes equal."""
+    n = draw(st.integers(1, 16))
+    values = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n)
+    a = np.array(draw(values), dtype=np.float64)
+    b = a.copy() if draw(st.booleans()) else np.array(draw(values), dtype=np.float64)
+    return a, b
+
+
+class TestDistanceBitExact:
+    """distance is bit-identical to the reference, so ties and digests cannot drift by an ULP."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_pairs(), st.sampled_from(["euclidean", "manhattan"]))
+    def test_equals_reference(self, pair, metric):
+        a, b = pair
+        assert distance(a, b, metric) == oracles.distance_reference(a, b, metric)
 
 
 class TestIdentify:
