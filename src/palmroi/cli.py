@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import edges, matcher, roi, synth
 from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation
-from .features import extract_features, features_from_mask
+from .features import GRID_SHAPES, extract_features, features_from_mask
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
 
@@ -27,9 +27,24 @@ def _add_edge_flag(parser):
 
 
 def _add_roi_flags(parser):
-    parser.add_argument("--strip-px", type=int, default=10, help="strip width in pixels")
-    parser.add_argument("--n", type=float, default=1.0, help="stddev multiplier in mean - n*stddev")
+    parser.add_argument("--strip-px", type=int, default=roi.RoiParams.strip_px, help="strip width in pixels")
+    parser.add_argument("--n", type=float, default=roi.RoiParams.n, help="stddev multiplier in mean - n*stddev")
     _add_edge_flag(parser)
+
+
+def _roi_params(args) -> roi.RoiParams:
+    return roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
+
+
+def _k_values(text: str) -> tuple[int, ...]:
+    """argparse type of ``evaluate --k``: comma-separated keys of GRID_SHAPES."""
+    try:
+        ks = {int(part) for part in text.split(",")}
+        if ks <= GRID_SHAPES.keys():
+            return tuple(sorted(ks))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated sizes from {sorted(GRID_SHAPES)}, got {text!r}")
 
 
 def _parse_rect(text: str) -> RoiRect:
@@ -68,8 +83,7 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_extract_roi(args) -> int:
     img = load_pgm(args.image)
-    params = roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
-    rect = roi.extract_roi(img, params)
+    rect = roi.extract_roi(img, _roi_params(args))
     save_pgm(crop(img, rect), args.out)
     sidecar = Path(str(args.out) + ".rect")
     sidecar.write_text(_rect_line(rect) + "\n")
@@ -98,8 +112,8 @@ def cmd_enroll(args) -> int:
     masks = (edges.edge_mask(load_pgm(e.path), args.edge_threshold) for e in entries)
     if args.roi == "auto":
         masks = list(masks)
-        params = roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
-        rect = roi.common_roi([roi.ranges_from_mask(m, params) for m in masks], args.strip_px)
+        params = _roi_params(args)
+        rect = roi.common_roi([roi.ranges_from_mask(m, params) for m in masks], params.strip_px)
     samples = []
     for e, m in zip(entries, masks):
         if args.roi != "auto":
@@ -130,12 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    k_values = tuple(sorted({int(part) for part in args.k.split(",")}))
     cfg = RunConfig(
-        strip_px=args.strip_px,
-        n=args.n,
-        edge_threshold=args.edge_threshold,
-        k_values=k_values,
+        roi=_roi_params(args),
+        k_values=args.k,
         metric=args.metric,
         seed=args.seed,
         train_frac=args.train_frac,
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enroll", help="build a template database from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int, default=16, choices=(4, 8, 16))
+    p.add_argument("--k", type=int, default=16, choices=sorted(GRID_SHAPES))
     p.add_argument("--out", required=True, help="output template DB file")
     p.add_argument(
         "--roi",
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full-frame vs ROI identification experiment")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="write the report CSV here as well as stdout")
-    p.add_argument("--k", default="4,8,16", help="comma-separated feature sizes")
+    p.add_argument("--k", type=_k_values, default="4,8,16", help="comma-separated feature sizes")
     p.add_argument("--train-frac", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=int, default=1)
@@ -230,13 +241,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, PgmFormatError) as exc:
+    except (OSError, PgmFormatError) as exc:  # PgmFormatError is a ValueError: test it first
         print(f"palmroi: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"palmroi: error: {exc}", file=sys.stderr)
-        return 2
-    except (roi.EmptyRoiError, ValueError) as exc:
+    except ValueError as exc:  # includes roi.EmptyRoiError
         print(f"palmroi: error: {exc}", file=sys.stderr)
         return 1
 

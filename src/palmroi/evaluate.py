@@ -17,6 +17,7 @@ from . import edges, matcher, roi
 from .features import features_from_mask
 from .image import full_rect, load_pgm
 from .rng import SplitMix64, mix
+from .roi import RoiParams
 from .synth import ManifestEntry, read_manifest
 
 DEFAULT_SEED = 42
@@ -25,18 +26,12 @@ _SPLIT_TAG = 0x51
 
 @dataclass(frozen=True)
 class RunConfig:
-    strip_px: int = 10
-    n: float = 1.0
-    edge_threshold: int = edges.DEFAULT_EDGE_THRESHOLD
+    roi: RoiParams = RoiParams()
     k_values: tuple[int, ...] = (4, 8, 16)
     metric: str = "euclidean"
     seed: int = DEFAULT_SEED
     train_frac: float = 0.5
     workers: int = 1
-
-    @property
-    def roi_params(self) -> roi.RoiParams:
-        return roi.RoiParams(self.strip_px, self.n, self.edge_threshold)
 
 
 @dataclass
@@ -101,17 +96,16 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         if img.shape != shape:
             raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
 
-    masks = _parallel_map(lambda img: edges.edge_mask(img, cfg.edge_threshold), images, cfg.workers)
+    masks = _parallel_map(lambda img: edges.edge_mask(img, cfg.roi.edge_threshold), images, cfg.workers)
     train_imgs = images[: len(train)]
     train_masks = masks[: len(train)]
     test_masks = masks if resubstitution else masks[len(train) :]
     test_entries = train if resubstitution else test
 
-    params = cfg.roi_params
     ranges = _parallel_map(
-        lambda img: roi.keep_ranges(img, params), train_imgs, cfg.workers
+        lambda img: roi.keep_ranges(img, cfg.roi), train_imgs, cfg.workers
     )
-    rect_roi = roi.common_roi(ranges, cfg.strip_px)
+    rect_roi = roi.common_roi(ranges, cfg.roi.strip_px)
     rect_full = full_rect(images[0])
 
     result = EvaluationResult(

@@ -61,17 +61,3 @@ def extract_features(
     """Features of one image: ``features_from_mask`` of its edge mask."""
     return features_from_mask(edges.edge_mask(img, edge_threshold), rect, k)
 
-
-def format_features(values: np.ndarray) -> str:
-    """Comma-separated decimals with 6 fractional digits."""
-    return ",".join(f"{v:.6f}" for v in values)
-
-
-def parse_features(text: str) -> np.ndarray:
-    try:
-        values = np.array([float(part) for part in text.split(",")], dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"malformed feature vector: {text!r}") from None
-    if values.size == 0:
-        raise ValueError("empty feature vector")
-    return values

@@ -6,12 +6,14 @@ An image is a 2-D ``numpy.uint8`` array indexed ``[row, column]``; width is
 
 The interchange format is binary PGM (P5) with maxval 255: ASCII header
 ``P5``, whitespace-separated width/height/maxval, one whitespace byte, then
-``width * height`` raw bytes row-major. Round-trips are byte-exact.
+``width * height`` raw bytes row-major. Round-trips are byte-exact. The
+manifest and the template DB are ASCII tab-separated records, read by
+``read_records``.
 """
 
 from __future__ import annotations
 
-import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,26 +78,11 @@ def check_rect(img: np.ndarray, rect: RoiRect) -> None:
         )
 
 
-def _read_header_tokens(data: bytes, count: int, start: int):
-    """Read `count` whitespace-separated tokens after `start`, '#' comments skipped."""
-    tokens = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise PgmFormatError("malformed header: truncated before pixel data")
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+# "P5", then width, height and maxval, each after a run of whitespace and
+# '#' comments. The lookaheads make a comment run to the end of its line and
+# a field (which cannot start with '#') run to the next whitespace, so a
+# comment is never re-read as fields, nor a field cut short at a '#'.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 3)
 
 
 def load_pgm(path) -> np.ndarray:
@@ -104,16 +91,18 @@ def load_pgm(path) -> np.ndarray:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise PgmFormatError(f"{path}: not a binary PGM (missing P5 magic)")
+    m = _PGM_HEADER.match(data)
+    if m is None:
+        raise PgmFormatError(f"{path}: malformed header (truncated before pixel data)")
     try:
-        tokens, pos = _read_header_tokens(data, 3, 2)
-        width, height, maxval = (int(t) for t in tokens)
-    except (ValueError, PgmFormatError) as exc:
+        width, height, maxval = map(int, m.groups())
+    except ValueError as exc:
         raise PgmFormatError(f"{path}: malformed header ({exc})") from None
     if width <= 0 or height <= 0:
         raise PgmFormatError(f"{path}: malformed header (non-positive dimensions)")
     if maxval != 255:
         raise PgmFormatError(f"{path}: unsupported maxval {maxval} (only 255)")
-    pos += 1  # single whitespace byte after maxval
+    pos = m.end() + 1  # single whitespace byte after maxval
     payload = data[pos : pos + width * height]
     if len(payload) < width * height:
         raise PgmFormatError(
@@ -122,18 +111,28 @@ def load_pgm(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 
-def open_ascii_text(path) -> io.StringIO:
-    """Read an ASCII text file for line iteration, splitting lines as ``open`` does.
+def read_records(path, nfields: int):
+    """Yield ``(lineno, fields)`` for each record of an ASCII tab-separated file.
 
-    A non-ASCII byte raises ValueError naming ``path:line``.
+    Lines end as ``open`` ends them (LF, CRLF or CR) and are ``strip()``-ped;
+    blank lines and ``#`` comments are skipped. A non-ASCII byte or a field
+    count other than ``nfields`` raises ValueError naming ``path:line``.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return io.StringIO(data.decode("ascii"), newline=None)
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            error = f"non-ASCII byte 0x{next(b for b in raw if b > 0x7F):02x}"
+        else:
+            line = raw.decode("ascii").strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) == nfields:
+                yield lineno, fields
+                continue
+            error = f"expected {nfields} tab-separated fields"
+        raise ValueError(f"{path}:{lineno}: {error}")
 
 
 def save_pgm(img: np.ndarray, path) -> None:

@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .features import format_features, parse_features
-from .image import open_ascii_text
+from .image import read_records
 
 METRICS = ("euclidean", "manhattan")
 
@@ -118,37 +117,47 @@ def accuracy(predictions: Sequence[tuple[str, str]]) -> EvaluationReport:
 
 # ---------------------------------------------------------------------------
 # Template DB file format: one template per line, tab-separated fields
-# palm_id, sample_id, k, comma-separated feature values; '#' lines are comments.
+# palm_id, sample_id, k, comma-separated feature values with 6 fractional
+# digits; '#' lines are comments.
+
+def _format_features(values: np.ndarray) -> str:
+    return ",".join(f"{v:.6f}" for v in values)
+
+
+def _parse_features(text: str) -> np.ndarray:
+    try:
+        return np.array([float(part) for part in text.split(",")], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"malformed feature vector: {text!r}") from None
+
 
 def save_db(db: TemplateDB, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# palm_id\tsample_id\tk\tfeatures\n")
         for t in db.templates:
-            fh.write(f"{t.palm_id}\t{t.sample_id}\t{t.features.size}\t{format_features(t.features)}\n")
+            fh.write(f"{t.palm_id}\t{t.sample_id}\t{t.features.size}\t{_format_features(t.features)}\n")
 
 
 def load_db(path) -> TemplateDB:
-    samples = []
-    with open_ascii_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            palm_id, sample_id, k_text, values_text = parts
+    """Read a DB file; every error after the record layer names ``path:line``."""
+    records = list(read_records(path, 4))  # its errors already name path:line
+    if not records:
+        raise ValueError(f"{path}: no templates")
+    lineno = 0
+
+    def samples():
+        nonlocal lineno
+        for lineno, (palm_id, sample_id, k_text, values_text) in records:
             try:
                 k = int(k_text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: k must be an integer, got {k_text!r}") from None
-            try:
-                values = parse_features(values_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"k must be an integer, got {k_text!r}") from None
+            values = _parse_features(values_text)
             if k != values.size:
-                raise ValueError(
-                    f"{path}:{lineno}: declared k={k_text} but {values.size} values"
-                )
-            samples.append((palm_id, sample_id, values))
-    return enroll(samples)
+                raise ValueError(f"declared k={k_text} but {values.size} values")
+            yield palm_id, sample_id, values
+
+    try:
+        return enroll(samples())
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -29,7 +29,7 @@ class EmptyRoiError(ValueError):
 
 @dataclass(frozen=True)
 class RoiParams:
-    """Knobs of the ROI pipeline; defaults match the CLI defaults."""
+    """Knobs of the ROI pipeline; the CLI flag defaults are read from here."""
 
     strip_px: int = 10
     n: float = 1.0

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import open_ascii_text, save_pgm
+from .image import read_records, save_pgm
 from .rng import SplitMix64, mix, normal_field, stream_floats
 
 DEFAULT_WIDTH = 384
@@ -327,17 +327,9 @@ def read_manifest(path) -> list[ManifestEntry]:
     """Parse a manifest; relative paths resolve against the manifest's directory."""
     base = Path(path).parent
     entries = []
-    with open_ascii_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rel, palm_id, sample_id = parts
-            p = Path(rel)
-            entries.append(ManifestEntry(p if p.is_absolute() else base / p, palm_id, sample_id))
+    for _, (rel, palm_id, sample_id) in read_records(path, 3):
+        p = Path(rel)
+        entries.append(ManifestEntry(p if p.is_absolute() else base / p, palm_id, sample_id))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

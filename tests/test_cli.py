@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from palmroi.cli import main
 from palmroi.image import load_pgm, save_pgm
-from palmroi.matcher import load_db
+from palmroi.matcher import enroll, load_db, save_db
+from palmroi.synth import ManifestEntry, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,31 @@ class TestParseErrors:
         assert f"palmroi: error: {db}:3: {message}" in capsys.readouterr().err
 
 
+class TestDbConsistency:
+    """Whole-DB faults: exit 1, the message names the DB (and the line, where there is one)."""
+
+    def test_comment_only_db_exit_1(self, corpus_dir, tmp_path, capsys):
+        db = tmp_path / "db.tsv"
+        db.write_text("# palm_id\tsample_id\tk\tfeatures\n")
+        rc = main(["identify", "--db", str(db), "--image", str(corpus_dir / "p000_s00.pgm")])
+        assert rc == 1
+        assert f"palmroi: error: {db}: no templates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"p1\ts1\t4\t0.1,0.2,0.3,0.4", "feature length mismatch: expected 2, got 4"),
+            (b"p0\ts0\t2\t0.1,0.2", "duplicate template key ('p0', 's0')"),
+        ],
+    )
+    def test_mixed_k_and_duplicate_key_name_the_line(self, corpus_dir, tmp_path, capsys, row, message):
+        db = tmp_path / "db.tsv"
+        db.write_bytes(b"# header\np0\ts0\t2\t0.500000,1.000000\n\n" + row + b"\n")
+        rc = main(["identify", "--db", str(db), "--image", str(corpus_dir / "p000_s00.pgm")])
+        assert rc == 1
+        assert f"palmroi: error: {db}:4: {message}" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_writes_csv_and_stdout(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -232,3 +260,74 @@ class TestEvaluate:
         rc = main(["evaluate", "--manifest", str(manifest), "--train-frac", "1.0"])
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["5", "x", "4,,8"])
+    def test_bad_k_is_a_usage_error(self, corpus_dir, capsys, k):
+        # rejected by argparse, before the manifest or any image is read
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"), "--k", k])
+        assert exc.value.code == 2
+        assert "argument --k" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """Good and bad inputs of every format, on blocky 48x40 images."""
+    d = tmp_path_factory.mktemp("small")
+    rng = np.random.default_rng(3)
+    entries = []
+    for i in range(2):
+        for j in range(2):
+            img = (np.kron(rng.integers(0, 2, (6, 5)), np.ones((8, 8))) * 255).astype(np.uint8)
+            save_pgm(img, d / f"p{i}_s{j}.pgm")
+            entries.append(ManifestEntry(d / f"p{i}_s{j}.pgm", f"p{i}", f"s{j}"))
+    write_manifest(entries, d / "manifest.tsv")
+    save_db(enroll([("p0", "s0", np.array([0.5, 1.0, 0.0, 0.25]))]), d / "db.tsv")
+    (d / "empty.tsv").write_text("# nothing\n")
+    (d / "bad.tsv").write_text("p0\ts0\n")
+    (d / "bad.pgm").write_bytes(b"P5\n2 x\n255\n")
+    (d / "short.pgm").write_bytes(b"P5\n4 4\n255\n\x00")
+    (d / "good.rect").write_text("0 0 40 48\n")
+    (d / "bad.rect").write_text("0 0 40\n")
+    (d / "dir").mkdir()
+    return d
+
+
+class TestExitCodeContract:
+    """Random argv fragments: exit 0, 1 or 2, and a failure prints a 'palmroi: error:' line."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_argv(self, small_inputs, capsys, data):
+        def path(*names):
+            return st.sampled_from(names).map(lambda name: str(small_inputs / name))
+
+        image = path("p0_s0.pgm", "p1_s1.pgm", "bad.pgm", "short.pgm", "missing.pgm", "dir")
+        db = path("db.tsv", "empty.tsv", "bad.tsv", "missing.tsv", "p0_s0.pgm")
+        manifest = path("manifest.tsv", "bad.tsv", "empty.tsv", "missing.tsv")
+        roi = st.one_of(
+            st.sampled_from(["full", "auto", "0 0 8 8", "0 0 0 0", "1 2 3", "0 0 999 999"]),
+            path("good.rect", "bad.rect", "missing.rect").map(lambda p: "@" + p),
+        )
+        command = data.draw(st.sampled_from(["extract-roi", "identify", "verify", "enroll", "evaluate"]))
+        out = str(small_inputs / "out")
+        argv = [command]
+        if command == "extract-roi":
+            argv += [data.draw(image), "--out", out]
+        elif command in ("identify", "verify"):
+            argv += ["--db", data.draw(db), "--image", data.draw(image), "--roi", data.draw(roi)]
+            if command == "verify":
+                argv += ["--claim", data.draw(st.sampled_from(["p0", "p9"])), "--tau", "0.5"]
+        else:
+            argv += ["--manifest", data.draw(manifest)]
+            if command == "enroll":
+                argv += ["--out", out, "--roi", data.draw(roi)]
+        if command in ("extract-roi", "enroll", "evaluate"):
+            argv += ["--strip-px", data.draw(st.sampled_from(["-1", "0", "1", "4", "1000"]))]
+            argv += ["--n", data.draw(st.sampled_from(["-1", "0", "1.5"]))]
+        argv += ["--edge-threshold", data.draw(st.sampled_from(["-5", "0", "96", "2041"]))]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        if rc:
+            assert err.startswith("palmroi: error: ") and err.count("\n") == 1

@@ -6,8 +6,6 @@ from palmroi.edges import count_connected_lines, edge_mask
 from palmroi.features import (
     extract_features,
     features_from_mask,
-    format_features,
-    parse_features,
     subregion_grid,
 )
 from palmroi.image import RoiRect
@@ -128,18 +126,3 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match=r"rect RoiRect\(x0=40, y0=0, width=60, height=60\) out of bounds"):
             features_from_mask(mask, RoiRect(40, 0, 60, 60), 4)
 
-
-class TestSerialization:
-    def test_six_fractional_digits(self):
-        text = format_features(np.array([0.0, 1.0, 1 / 3]))
-        assert text == "0.000000,1.000000,0.333333"
-
-    def test_round_trip_within_quantization(self):
-        rng = np.random.default_rng(43)
-        values = rng.random(16)
-        again = parse_features(format_features(values))
-        assert np.abs(again - values).max() <= 5e-7
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            parse_features("1.0,x,3")

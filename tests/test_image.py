@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from palmroi.image import (
@@ -74,6 +76,68 @@ class TestPgm:
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n# made by hand\n1 1\n255\n\x07")
         assert load_pgm(p).tolist() == [[7]]
+
+
+    def test_comment_is_never_split_into_fields(self, tmp_path):
+        # a comment holding "1 1 255" must not be re-read as the three fields
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5 #1 1 255\n\x07")
+        with pytest.raises(PgmFormatError, match="malformed"):
+            load_pgm(p)
+        # nor may a field end at a '#': "1#c" is one (bad) token
+        p.write_bytes(b"P5 1#c\n1 1 255\n\x07")
+        with pytest.raises(PgmFormatError, match="malformed"):
+            load_pgm(p)
+
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_ws_run = st.binary(min_size=1, max_size=3).map(lambda b: bytes(_WHITESPACE[x % 6] for x in b))
+_comment = st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+# a separator starts with whitespace (a '#' right after a digit would be part of the field)
+_separator = st.tuples(_ws_run, st.lists(st.one_of(_ws_run, _comment), max_size=3)).map(
+    lambda t: t[0] + b"".join(t[1])
+)
+
+
+def _pgm_bytes(width, height, maxval, seps, last_ws, payload):
+    fields = [str(width).encode(), str(height).encode(), str(maxval).encode()]
+    return b"P5" + b"".join(sep + field for sep, field in zip(seps, fields)) + last_ws + payload
+
+
+class TestPgmHeaderProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seps=st.lists(_separator, min_size=3, max_size=3),
+        last_ws=st.sampled_from([bytes([c]) for c in _WHITESPACE]),
+        data=st.data(),
+    )
+    def test_whitespace_and_comments_between_fields(self, tmp_path_factory, shape, seps, last_ws, data):
+        h, w = shape
+        pixels = data.draw(st.binary(min_size=w * h, max_size=w * h))
+        p = tmp_path_factory.mktemp("pgm") / "a.pgm"
+        p.write_bytes(_pgm_bytes(w, h, 255, seps, last_ws, pixels))
+        img = load_pgm(p)
+        assert img.shape == (h, w)
+        assert img.tobytes() == pixels
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), seps=st.lists(_separator, min_size=3, max_size=3), data=st.data())
+    def test_truncated_payload_rejected(self, tmp_path_factory, shape, seps, data):
+        h, w = shape
+        pixels = data.draw(st.binary(max_size=w * h - 1))
+        p = tmp_path_factory.mktemp("pgm") / "a.pgm"
+        p.write_bytes(_pgm_bytes(w, h, 255, seps, b"\n", pixels))
+        with pytest.raises(PgmFormatError, match="truncated"):
+            load_pgm(p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(maxval=st.integers(1, 65535).filter(lambda v: v != 255), seps=st.lists(_separator, min_size=3, max_size=3))
+    def test_maxval_other_than_255_rejected(self, tmp_path_factory, maxval, seps):
+        p = tmp_path_factory.mktemp("pgm") / "a.pgm"
+        p.write_bytes(_pgm_bytes(2, 2, maxval, seps, b"\n", bytes(8)))
+        with pytest.raises(PgmFormatError, match="maxval"):
+            load_pgm(p)
 
 
 class TestCrop:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,3 +216,104 @@ class TestDbFile:
         with pytest.raises(ValueError, match="declared k"):
             load_db(path)
 
+
+    def test_comment_only_db_rejected(self, tmp_path):
+        path = tmp_path / "db.tsv"
+        path.write_text("# palm_id\tsample_id\tk\tfeatures\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no templates$"):
+            load_db(path)
+
+
+class TestSerialization:
+    """The DB's number format: comma-separated decimals with 6 fractional digits."""
+
+    def test_six_fractional_digits(self, tmp_path):
+        path = tmp_path / "db.tsv"
+        save_db(enroll([("p0", "s0", vec(0.0, 1.0, 1 / 3))]), path)
+        assert path.read_text().splitlines()[1] == "p0\ts0\t3\t0.000000,1.000000,0.333333"
+
+    def test_round_trip_within_quantization(self, tmp_path):
+        rng = np.random.default_rng(43)
+        values = rng.random(16)
+        path = tmp_path / "db.tsv"
+        save_db(enroll([("p0", "s0", values)]), path)
+        again = load_db(path).templates[0].features
+        assert np.abs(again - values).max() <= 5e-7
+
+    def test_malformed_rejected(self, tmp_path):
+        path = tmp_path / "db.tsv"
+        path.write_text("p0\ts0\t3\t1.0,x,3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: malformed feature vector"):
+            load_db(path)
+
+
+_ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=5)
+_filler = st.sampled_from(["", "# comment", "#", "  ", "\t# indented comment", " \t "])
+
+
+@st.composite
+def _db_lines(draw):
+    """(k, keys, feature vectors) of a small random template DB."""
+    k = draw(st.sampled_from([4, 8, 16]))
+    keys = draw(st.lists(st.tuples(_ids, _ids), min_size=1, max_size=6, unique=True))
+    values = [
+        np.array(draw(st.lists(st.floats(0, 1), min_size=k, max_size=k)), dtype=np.float64)
+        for _ in keys
+    ]
+    return k, keys, values
+
+
+def _interleave(draw_filler, records):
+    """Text lines with filler before each record; returns (lines, record line numbers)."""
+    lines, linenos = [], []
+    for record in records:
+        lines.extend(draw_filler())
+        lines.append(record)
+        linenos.append(len(lines))
+    return lines, linenos
+
+
+class TestDbFileProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(db=_db_lines(), data=st.data(), eol=st.sampled_from(["\n", "\r\n"]))
+    def test_round_trip_with_comments_blanks_and_line_ends(self, tmp_path_factory, db, data, eol):
+        k, keys, values = db
+        path = tmp_path_factory.mktemp("db") / "db.tsv"
+        save_db(enroll((p, s, v) for (p, s), v in zip(keys, values)), path)
+        records = path.read_text().splitlines()[1:]
+        lines, _ = _interleave(lambda: data.draw(st.lists(_filler, max_size=2)), records)
+        path.write_bytes(eol.join(lines).encode("ascii") + eol.encode("ascii"))
+        again = load_db(path)
+        assert again.k == k
+        assert [(t.palm_id, t.sample_id) for t in again.templates] == keys
+        for t, v in zip(again.templates, values):
+            assert np.abs(t.features - v).max() <= 5e-7
+
+    @settings(max_examples=25, deadline=None)
+    @given(db=_db_lines(), data=st.data(), fault=st.sampled_from(["mixed-k", "duplicate"]))
+    def test_consistency_errors_name_path_and_line(self, tmp_path_factory, db, data, fault):
+        k, keys, values = db
+        path = tmp_path_factory.mktemp("db") / "db.tsv"
+        save_db(enroll((p, s, v) for (p, s), v in zip(keys, values)), path)
+        records = path.read_text().splitlines()[1:]
+        at = data.draw(st.integers(0, len(records)))
+        if fault == "mixed-k":
+            other = 4 if k != 4 else 8
+            palm, sample = data.draw(st.tuples(_ids, _ids).filter(lambda key: key not in keys))
+            bad = f"{palm}\t{sample}\t{other}\t" + ",".join(["0.500000"] * other)
+            message = f"feature length mismatch: expected {k}, got {other}"
+            if at == 0:  # a first line of the other k sets k; the old first record mismatches
+                message = f"feature length mismatch: expected {other}, got {k}"
+        else:
+            at = max(at, 1)
+            bad = data.draw(st.sampled_from(records[:at]))
+            message = "duplicate template key"
+        records.insert(at, bad)
+        lines, linenos = _interleave(lambda: data.draw(st.lists(_filler, max_size=2)), records)
+        path.write_text("\n".join(lines) + "\n")
+        lineno = linenos[at] if fault == "duplicate" or at > 0 else linenos[1]
+        with pytest.raises(ValueError) as exc:
+            load_db(path)
+        text = str(exc.value)
+        assert text.startswith(f"{path}:{lineno}: {message}")
+        assert text.count(str(path)) == 1
