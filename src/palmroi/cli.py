@@ -47,6 +47,13 @@ def _k_values(text: str) -> tuple[int, ...]:
     raise argparse.ArgumentTypeError(f"expected comma-separated sizes from {sorted(GRID_SHAPES)}, got {text!r}")
 
 
+def _workers(text: str) -> int:
+    """argparse type of ``evaluate --workers``: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_rect(text: str) -> RoiRect:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_k_values, default="4,8,16", help="comma-separated feature sizes")
     p.add_argument("--train-frac", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
     _add_roi_flags(p)
     p.set_defaults(func=cmd_evaluate)

@@ -3,15 +3,18 @@
 The busyness of a region is the number of 8-connected components of the
 edge mask within it. The mask is computed once over the full image, so
 region borders see true gradients; pixels outside the region are treated
-as non-edge when counting.
+as non-edge when counting. Regions are the tiles between consecutive row
+and column cuts: the strips of the ROI search, the cells of a feature grid.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 
 from . import kernels
-from .image import RoiRect, check_image
+from .image import check_image
 
 DEFAULT_EDGE_THRESHOLD = 96
 
@@ -29,10 +32,16 @@ def edge_mask(img: np.ndarray, threshold: int = DEFAULT_EDGE_THRESHOLD) -> np.nd
     return kernels.sobel_l1(img) >= threshold
 
 
-def count_connected_lines(mask: np.ndarray, rect: RoiRect) -> int:
-    """8-connected component count of True pixels within rect."""
+def count_connected_lines(mask: np.ndarray, row_cuts, col_cuts) -> np.ndarray:
+    """8-connected component count of each tile mask[r0:r1, c0:c1] between consecutive cuts.
+
+    Returns int64 of shape (len(row_cuts) - 1, len(col_cuts) - 1); a repeated cut is an empty tile.
+    """
     if mask.ndim != 2 or mask.dtype != np.bool_:
         raise ValueError("mask must be a 2-D boolean array")
-    if not rect.within(mask.shape):
-        raise ValueError(f"rect {rect} out of bounds for mask {mask.shape}")
-    return kernels.count_components(mask[rect.slices])
+    for axis, cuts, extent in (("row", row_cuts, mask.shape[0]), ("column", col_cuts, mask.shape[1])):
+        if len(cuts) < 2 or cuts[0] < 0 or cuts[-1] > extent or any(a > b for a, b in pairwise(cuts)):
+            raise ValueError(f"{axis} cuts {list(cuts)} are not 2 or more non-decreasing values in 0..{extent}")
+    tiles = [mask[r0:r1, c0:c1] for r0, r1 in pairwise(row_cuts) for c0, c1 in pairwise(col_cuts)]
+    counts = np.array([kernels.count_components(tile) for tile in tiles], dtype=np.int64)
+    return counts.reshape(len(row_cuts) - 1, len(col_cuts) - 1)

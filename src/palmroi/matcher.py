@@ -99,6 +99,8 @@ def verify(
     f: np.ndarray, db: TemplateDB, claimed: str, tau: float, metric: str = "euclidean"
 ) -> bool:
     """Accept iff the nearest template of the claimed palm is within tau."""
+    if math.isnan(tau):
+        raise ValueError("tau must be a number, got nan")
     candidates = [t for t in db.templates if t.palm_id == claimed]
     if not candidates:
         raise ValueError(f"claimed palm_id {claimed!r} not enrolled")
@@ -126,9 +128,12 @@ def _format_features(values: np.ndarray) -> str:
 
 def _parse_features(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=np.float64)
+        values = np.array([float(part) for part in text.split(",")], dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        raise ValueError(f"malformed feature vector: {text!r}") from None
+        pass
+    raise ValueError(f"malformed feature vector: {text!r}")
 
 
 def save_db(db: TemplateDB, path) -> None:

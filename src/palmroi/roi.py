@@ -11,6 +11,7 @@ boundary, breaking ties toward the larger region.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,8 +39,8 @@ class RoiParams:
     def __post_init__(self):
         if self.strip_px < 1:
             raise ValueError(f"strip_px must be >= 1, got {self.strip_px}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        if not 0 <= self.n < math.inf:
+            raise ValueError(f"n must be finite and >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,13 @@ class StripProfile:
     """Per-strip busyness counts plus the derived selection threshold."""
 
     orientation: str
-    strip_px: int
     numlines: np.ndarray  # int64, one count per strip
     mean: float
     stddev: float  # population (divide by N)
     threshold: float  # mean - n * stddev
 
     @classmethod
-    def from_counts(
-        cls, counts, orientation: str = "horizontal", strip_px: int = 10, n: float = 1.0
-    ) -> "StripProfile":
+    def from_counts(cls, counts, orientation: str = "horizontal", n: float = 1.0) -> "StripProfile":
         if orientation not in ORIENTATIONS:
             raise ValueError(f"orientation must be one of {ORIENTATIONS}")
         numlines = np.asarray(counts, dtype=np.int64)
@@ -80,20 +78,18 @@ class StripProfile:
             raise ValueError("profile needs at least one strip")
         mean = float(np.mean(numlines))
         stddev = float(np.std(numlines))
-        return cls(orientation, strip_px, numlines, mean, stddev, mean - n * stddev)
+        return cls(orientation, numlines, mean, stddev, mean - n * stddev)
 
 
-def strip_partition(extent: int, strip_px: int) -> list[tuple[int, int]]:
-    """Contiguous (start, length) strips of exactly strip_px; remainder dropped.
+def strip_cuts(extent: int, strip_px: int) -> range:
+    """Cut list of the whole strip_px-wide strips of 0..extent; the remainder is dropped.
 
-    A 384-pixel extent with 10-pixel strips yields 38 strips covering
-    0..379; pixels 380..383 belong to no strip.
+    A 384-pixel extent with 10-pixel strips yields the cuts 0, 10, ..., 380:
+    38 strips covering 0..379; pixels 380..383 belong to no strip.
     """
-    if strip_px < 1:
-        raise ValueError(f"strip_px must be >= 1, got {strip_px}")
     if extent < strip_px:
         raise ValueError(f"extent {extent} smaller than strip width {strip_px}")
-    return [(i * strip_px, strip_px) for i in range(extent // strip_px)]
+    return range(0, extent // strip_px * strip_px + 1, strip_px)
 
 
 def strip_profile(mask: np.ndarray, orientation: str, params: RoiParams = RoiParams()) -> StripProfile:
@@ -106,11 +102,8 @@ def strip_profile(mask: np.ndarray, orientation: str, params: RoiParams = RoiPar
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
     bands = mask.T if orientation == "vertical" else mask
     h, w = bands.shape
-    counts = [
-        edges.count_connected_lines(bands, RoiRect(0, start, w, length))
-        for start, length in strip_partition(h, params.strip_px)
-    ]
-    return StripProfile.from_counts(counts, orientation, params.strip_px, params.n)
+    counts = edges.count_connected_lines(bands, strip_cuts(h, params.strip_px), (0, w))
+    return StripProfile.from_counts(counts[:, 0], orientation, params.n)
 
 
 def trim_strips(profile: StripProfile) -> KeepRange:

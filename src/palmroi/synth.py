@@ -222,24 +222,15 @@ def _ridge_layer(model: PalmModel) -> np.ndarray:
     return layer
 
 
-def generate_palm(
-    model: PalmModel, jitter: SampleJitter, width: int | None = None, height: int | None = None
-) -> np.ndarray:
+def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
     """Render one sample of the model as a uint8 image.
 
     Rendering order: base gray, ridge noise over the active content blocks,
     wrinkles, then principal lines on top; additive sensor noise last. The
     margin ring carries only base gray plus the sensor noise. Deterministic
-    in (model, jitter, dims). The jitter's translation may not exceed the
+    in (model, jitter). The jitter's translation may not exceed the
     model's margin, which keeps the content box inside the frame.
     """
-    width = model.width if width is None else width
-    height = model.height if height is None else height
-    if (width, height) != (model.width, model.height):
-        raise ValueError(
-            f"frame {width}x{height} does not match model frame "
-            f"{model.width}x{model.height}"
-        )
     if jitter.max_translation > model.margin:
         raise ValueError(
             f"margin {model.margin} is smaller than the max translation {jitter.max_translation}"
@@ -247,7 +238,7 @@ def generate_palm(
     dx, dy = sample_translation(jitter)
     wobble_rng = SplitMix64(mix(jitter.sample_seed, _TAG_WOBBLE))
 
-    canvas = np.full((height, width), float(model.base_gray), dtype=np.float64)
+    canvas = np.full((model.height, model.width), float(model.base_gray), dtype=np.float64)
 
     if model.ridge_noise_sigma > 0:
         layer = _ridge_layer(model)
@@ -261,7 +252,7 @@ def generate_palm(
         _stamp_stroke(canvas, stroke, dx, dy, value)
 
     if jitter.noise_sigma > 0:
-        canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), (height, width), jitter.noise_sigma)
+        canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), canvas.shape, jitter.noise_sigma)
 
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
 
@@ -305,7 +296,7 @@ def generate_corpus(
         palm_id = f"p{i:03d}"
         for j in range(samples_per_identity):
             jitter = SampleJitter(sample_seed_for(master_seed, i, j))
-            img = generate_palm(model, jitter, width, height)
+            img = generate_palm(model, jitter)
             name = f"{palm_id}_s{j:02d}.pgm"
             save_pgm(img, out_dir / name)
             entries.append(ManifestEntry(out_dir / name, palm_id, f"s{j:02d}"))

@@ -13,7 +13,7 @@ from palmroi.cli import main
 from palmroi.evaluate import RunConfig, run_evaluation
 from palmroi.image import RoiRect, crop, histogram, histogram_peak, load_pgm, modality
 from palmroi.matcher import accuracy
-from palmroi.roi import RoiParams, StripProfile, extract_roi, strip_partition, trim_strips
+from palmroi.roi import RoiParams, StripProfile, extract_roi, strip_cuts, trim_strips
 from palmroi.edges import count_connected_lines
 
 
@@ -23,22 +23,21 @@ def _report(n, text):
 
 def test_criterion_1_strip_geometry():
     """A 384x284 frame partitions into exactly 38 vertical and 28 horizontal strips."""
-    vertical = strip_partition(384, 10)
-    horizontal = strip_partition(284, 10)
-    assert len(vertical) == 38
-    assert len(horizontal) == 28
-    assert vertical[-1] == (370, 10) and horizontal[-1] == (270, 10)
+    vertical = strip_cuts(384, 10)
+    horizontal = strip_cuts(284, 10)
+    assert len(vertical) - 1 == 38
+    assert len(horizontal) - 1 == 28
+    assert vertical[-2:] == range(370, 390, 10) and horizontal[-2:] == range(270, 290, 10)
     _report(1, "384x284 -> 38 vertical / 28 horizontal strips")
 
 
 def test_criterion_2_component_count_matches_flood_fill():
     """Exact agreement with an independent flood-fill oracle, 1000 seeded masks."""
     rng = np.random.default_rng(2024)
-    rect = RoiRect(0, 0, 32, 32)
     trials = 1000
     for _ in range(trials):
         mask = rng.random((32, 32)) < rng.uniform(0.05, 0.6)
-        assert count_connected_lines(mask, rect) == oracles.flood_fill_count(mask)
+        assert count_connected_lines(mask, (0, 32), (0, 32))[0, 0] == oracles.flood_fill_count(mask)
     _report(2, f"{trials} random 32x32 masks, 8-connectivity, exact equality")
 
 

@@ -197,6 +197,8 @@ class TestParseErrors:
             (b"p1\ts0\t2\t0.5,caf\xc3\xa9", "non-ASCII byte 0xc3"),
             (b"p1\ts0\ttwo\t0.500000,1.000000", "k must be an integer, got 'two'"),
             (b"p1\ts0\t2\t0.500000,,1.000000", "malformed feature vector"),
+            (b"p1\ts0\t2\tnan,nan", "malformed feature vector: 'nan,nan'"),
+            (b"p1\ts0\t2\t0.500000,-inf", "malformed feature vector"),
         ],
     )
     def test_bad_db_line(self, corpus_dir, tmp_path, capsys, row, message):
@@ -268,6 +270,30 @@ class TestEvaluate:
             main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"), "--k", k])
         assert exc.value.code == 2
         assert "argument --k" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    """Numbers that parse as floats or ints but mean nothing fail instead of running."""
+
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    def test_non_finite_n_is_exit_1(self, corpus_dir, tmp_path, capsys, n):
+        rc = main(["extract-roi", str(corpus_dir / "p000_s00.pgm"), "--out", str(tmp_path / "r.pgm"), "--n", n])
+        assert rc == 1
+        assert f"n must be finite and >= 0, got {n}" in capsys.readouterr().err
+
+    def test_nan_tau_is_exit_1(self, corpus_dir, enrolled, capsys):
+        db_path, _ = enrolled
+        image = str(corpus_dir / "p000_s00.pgm")
+        rc = main(["verify", "--db", str(db_path), "--image", image, "--claim", "p000", "--tau", "nan"])
+        assert rc == 1
+        assert "tau must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "x"])
+    def test_workers_below_1_is_a_usage_error(self, corpus_dir, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"argument --workers: expected an integer >= 1, got '{workers}'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import oracles
 from palmroi.edges import count_connected_lines, edge_mask
-from palmroi.image import RoiRect, full_rect
 
 
 class TestSobel:
@@ -79,61 +78,98 @@ class TestBinarize:
             edge_mask(np.zeros((3, 3), dtype=np.uint8), -1)
 
 
+@st.composite
+def cut_lists(draw, extent):
+    """2 to 6 non-decreasing cuts in 0..extent; gaps of 0 (empty tiles) and 1 (one-pixel tiles) are common."""
+    cuts = [draw(st.integers(0, extent))]
+    for _ in range(draw(st.integers(1, 5))):
+        gap = draw(st.sampled_from([0, 1]) | st.integers(0, extent))
+        cuts.append(min(cuts[-1] + gap, extent))
+    return cuts
+
+
 class TestCountConnectedLines:
     def test_empty_region(self):
         mask = np.zeros((10, 10), dtype=bool)
-        assert count_connected_lines(mask, RoiRect(0, 0, 10, 10)) == 0
+        counts = count_connected_lines(mask, (0, 10), (0, 10))
+        assert counts.dtype == np.int64 and counts.tolist() == [[0]]
 
     def test_diagonal_pixels_join(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[1, 1] = mask[2, 2] = True
-        assert count_connected_lines(mask, RoiRect(0, 0, 5, 5)) == 1
+        assert count_connected_lines(mask, (0, 5), (0, 5)).tolist() == [[1]]
 
     def test_rect_masks_out_outside_pixels(self):
-        # one component spanning the rect border splits when clipped
+        # one component spanning the tile border splits when clipped
         mask = np.zeros((6, 6), dtype=bool)
         mask[2, :] = True
-        inner = count_connected_lines(mask, RoiRect(1, 0, 2, 6))
-        assert inner == 1
-        assert count_connected_lines(mask, RoiRect(0, 0, 6, 6)) == 1
+        assert count_connected_lines(mask, (0, 6), (1, 3)).tolist() == [[1]]
+        assert count_connected_lines(mask, (0, 6), (0, 6)).tolist() == [[1]]
 
     def test_rect_out_of_bounds(self):
         mask = np.zeros((6, 6), dtype=bool)
-        with pytest.raises(ValueError, match="out of bounds"):
-            count_connected_lines(mask, RoiRect(3, 3, 5, 5))
+        with pytest.raises(ValueError, match=r"row cuts \[3, 8\] are not .* in 0\.\.6"):
+            count_connected_lines(mask, (3, 8), (3, 6))
+
+    @pytest.mark.parametrize(
+        "row_cuts, col_cuts, axis",
+        [
+            ((0, 4, 2), (0, 6), "row"),  # decreasing
+            ((0, 6), (3, 3, 2), "column"),  # decreasing after a repeat
+            ((-1, 6), (0, 6), "row"),  # before 0
+            ((0, 6), (0, 7), "column"),  # past the extent
+            ((0, 6), (6,), "column"),  # no tile
+            ((), (0, 6), "row"),
+        ],
+    )
+    def test_bad_cuts_rejected(self, row_cuts, col_cuts, axis):
+        with pytest.raises(ValueError, match=f"{axis} cuts"):
+            count_connected_lines(np.zeros((6, 6), dtype=bool), row_cuts, col_cuts)
+
+    def test_non_boolean_mask_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            count_connected_lines(np.zeros((6, 6), dtype=np.uint8), (0, 6), (0, 6))
 
     def test_random_masks_match_flood_fill(self):
         rng = np.random.default_rng(24)
         for _ in range(300):
             mask = rng.random((32, 32)) < rng.uniform(0.1, 0.5)
-            assert count_connected_lines(mask, RoiRect(0, 0, 32, 32)) == oracles.flood_fill_count(mask)
+            assert count_connected_lines(mask, (0, 32), (0, 32))[0, 0] == oracles.flood_fill_count(mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_each_tile_matches_flood_fill(self, data, h, w, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < rng.uniform(0.05, 0.6)
+        row_cuts, col_cuts = data.draw(cut_lists(h)), data.draw(cut_lists(w))
+        counts = count_connected_lines(mask, row_cuts, col_cuts)
+        assert counts.shape == (len(row_cuts) - 1, len(col_cuts) - 1)
+        for i in range(len(row_cuts) - 1):
+            for j in range(len(col_cuts) - 1):
+                tile = mask[row_cuts[i] : row_cuts[i + 1], col_cuts[j] : col_cuts[j + 1]]
+                assert counts[i, j] == oracles.flood_fill_count(tile)
 
     def test_split_rects_never_merge(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
             mask = rng.random((24, 30)) < 0.35
-            whole = RoiRect(0, 0, 30, 24)
-            left = RoiRect(0, 0, 14, 24)
-            right = RoiRect(14, 0, 16, 24)
-            total = count_connected_lines(mask, whole)
-            parts = count_connected_lines(mask, left) + count_connected_lines(mask, right)
-            assert parts >= total
+            total = count_connected_lines(mask, (0, 24), (0, 30))[0, 0]
+            parts = count_connected_lines(mask, (0, 24), (0, 14, 30))
+            assert parts.sum() >= total
 
 
 class TestBusyness:
-    """Connected-line counts of an image's edge mask within a rect."""
+    """Connected-line counts of an image's edge mask within a tiling."""
 
     def test_constant_image_any_rect(self):
         img = np.full((20, 20), 90, dtype=np.uint8)
-        assert count_connected_lines(edge_mask(img, 96), RoiRect(3, 3, 10, 10)) == 0
+        assert count_connected_lines(edge_mask(img, 96), (3, 13), (3, 13)).tolist() == [[0]]
 
     def test_line_crossing_two_strips(self):
         img = np.full((20, 40), 200, dtype=np.uint8)
         img[9:11, 5:35] = 30  # dark horizontal bar across both halves
-        mask = edge_mask(img, 96)
-        left, right = RoiRect(0, 0, 20, 20), RoiRect(20, 0, 20, 20)
-        assert count_connected_lines(mask, left) >= 1
-        assert count_connected_lines(mask, right) >= 1
+        counts = count_connected_lines(edge_mask(img, 96), (0, 20), (0, 20, 40))
+        assert (counts >= 1).all()
 
     def test_composition_matches_oracle_pipeline(self):
         rng = np.random.default_rng(26)
@@ -142,4 +178,4 @@ class TestBusyness:
             threshold = int(rng.integers(50, 400))
             grad = oracles.sobel_l1_reference(img)
             expected = oracles.flood_fill_count(grad >= threshold)
-            assert count_connected_lines(edge_mask(img, threshold), full_rect(img)) == expected
+            assert count_connected_lines(edge_mask(img, threshold), (0, 18), (0, 22)).tolist() == [[expected]]

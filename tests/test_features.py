@@ -1,57 +1,46 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
 import oracles
 from palmroi.edges import count_connected_lines, edge_mask
-from palmroi.features import (
-    extract_features,
-    features_from_mask,
-    subregion_grid,
-)
+from palmroi.features import extract_features, features_from_mask, grid_cuts
 from palmroi.image import RoiRect
 
 
 class TestSubregionGrid:
     def test_k4_quadrants(self):
-        cells = subregion_grid(RoiRect(0, 0, 200, 200), 4)
-        assert [(c.x0, c.y0, c.width, c.height) for c in cells] == [
-            (0, 0, 100, 100),
-            (100, 0, 100, 100),
-            (0, 100, 100, 100),
-            (100, 100, 100, 100),
-        ]
+        assert grid_cuts(RoiRect(0, 0, 200, 200), 4) == ([0, 100, 200], [0, 100, 200])
 
     def test_k16_remainder_goes_last(self):
-        cells = subregion_grid(RoiRect(0, 0, 250, 200), 16)
-        widths = [c.width for c in cells[:4]]
-        heights = [cells[i * 4].height for i in range(4)]
-        assert widths == [62, 62, 62, 64]
-        assert heights == [50, 50, 50, 50]
+        rows, cols = grid_cuts(RoiRect(0, 0, 250, 200), 16)
+        assert np.diff(cols).tolist() == [62, 62, 62, 64]
+        assert np.diff(rows).tolist() == [50, 50, 50, 50]
 
     def test_k8_is_two_by_four(self):
-        cells = subregion_grid(RoiRect(10, 20, 80, 40), 8)
-        assert len(cells) == 8
-        assert cells[0].height == 20 and cells[0].width == 20
-        assert cells[4].y0 == 40  # second row
+        assert grid_cuts(RoiRect(10, 20, 80, 40), 8) == ([20, 40, 60], [10, 30, 50, 70, 90])
 
     @pytest.mark.parametrize("k", [4, 8, 16])
     def test_cells_tile_rect_exactly(self, k):
         rect = RoiRect(7, 3, 101, 59)
-        cells = subregion_grid(rect, k)
+        rows, cols = grid_cuts(rect, k)
+        assert (len(rows) - 1) * (len(cols) - 1) == k
         cover = np.zeros((rect.y1 + 1, rect.x1 + 1), dtype=int)
-        for c in cells:
-            cover[c.y0 : c.y1, c.x0 : c.x1] += 1
+        for r0, r1 in pairwise(rows):
+            for c0, c1 in pairwise(cols):
+                cover[r0:r1, c0:c1] += 1
         assert (cover[rect.y0 : rect.y1, rect.x0 : rect.x1] == 1).all()
         cover[rect.y0 : rect.y1, rect.x0 : rect.x1] = 0
         assert (cover == 0).all()
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            subregion_grid(RoiRect(0, 0, 100, 100), 5)
+            grid_cuts(RoiRect(0, 0, 100, 100), 5)
 
     def test_rect_too_small(self):
         with pytest.raises(ValueError, match="smaller"):
-            subregion_grid(RoiRect(0, 0, 3, 3), 16)
+            grid_cuts(RoiRect(0, 0, 3, 3), 16)
 
 
 def spiky_image(shape, positions, base=128, delta=100):
@@ -78,7 +67,8 @@ class TestExtractFeatures:
         assert (values[1:] < 1.0).all()
         # cross-check every cell against the busyness oracle pipeline
         mask = oracles.sobel_l1_reference(img) >= 96
-        raw = [oracles.flood_fill_count(mask[c.slices]) for c in subregion_grid(rect, 4)]
+        rows, cols = grid_cuts(rect, 4)
+        raw = [oracles.flood_fill_count(mask[r0:r1, c0:c1]) for r0, r1 in pairwise(rows) for c0, c1 in pairwise(cols)]
         assert values.tolist() == [r / max(raw) for r in raw]
 
     def test_invariant_under_mask_preserving_relabel(self):
@@ -112,13 +102,13 @@ class TestExtractFeatures:
         rng = np.random.default_rng(42)
         mask = edge_mask(rng.integers(0, 256, (80, 80)).astype(np.uint8), 96)
         rect = RoiRect(0, 0, 80, 80)
-        quadrants = subregion_grid(rect, 4)
-        cells = subregion_grid(rect, 16)
-        for qi, quad in enumerate(quadrants):
-            sub = [c for c in cells if oracles.rect_contains(quad, c)]
-            assert len(sub) == 4
-            cell_sum = sum(count_connected_lines(mask, c) for c in sub)
-            assert cell_sum >= count_connected_lines(mask, quad)
+        quad_rows, quad_cols = grid_cuts(rect, 4)
+        cell_rows, cell_cols = grid_cuts(rect, 16)
+        assert set(quad_rows) <= set(cell_rows) and set(quad_cols) <= set(cell_cols)
+        quadrants = count_connected_lines(mask, quad_rows, quad_cols)
+        cells = count_connected_lines(mask, cell_rows, cell_cols)
+        # cells[2 * qr + r, 2 * qc + c] lies in quadrant (qr, qc)
+        assert (cells.reshape(2, 2, 2, 2).sum(axis=(1, 3)) >= quadrants).all()
 
     def test_features_from_mask_checks_the_whole_rect_first(self):
         # the first 2x2 cell (40, 0, 30, 30) fits the 80x60 mask; the rect does not

@@ -13,7 +13,7 @@ from palmroi.roi import (
     extract_roi,
     keep_ranges,
     rect_from_ranges,
-    strip_partition,
+    strip_cuts,
     strip_profile,
     trim_strips,
 )
@@ -21,24 +21,24 @@ from palmroi.roi import (
 
 class TestStripPartition:
     def test_frame_width_gives_38_strips(self):
-        strips = strip_partition(384, 10)
-        assert len(strips) == 38
-        assert strips[0] == (0, 10)
-        assert strips[-1] == (370, 10)  # columns 370..379; 380..383 uncovered
+        cuts = strip_cuts(384, 10)
+        assert len(cuts) - 1 == 38
+        assert cuts[:2] == range(0, 20, 10)
+        assert cuts[-2:] == range(370, 390, 10)  # columns 370..379; 380..383 uncovered
 
     def test_frame_height_gives_28_strips(self):
-        assert len(strip_partition(284, 10)) == 28
+        assert len(strip_cuts(284, 10)) - 1 == 28
 
     def test_exact_division(self):
-        assert strip_partition(20, 10) == [(0, 10), (10, 10)]
+        assert list(strip_cuts(20, 10)) == [0, 10, 20]
 
     def test_extent_smaller_than_strip(self):
         with pytest.raises(ValueError, match="smaller"):
-            strip_partition(7, 10)
+            strip_cuts(7, 10)
 
     def test_invalid_strip_px(self):
-        with pytest.raises(ValueError):
-            strip_partition(100, 0)
+        with pytest.raises(ValueError, match="strip_px"):
+            RoiParams(strip_px=0)
 
 
 class TestStripProfile:
@@ -67,11 +67,11 @@ class TestStripProfile:
 
 class TestTrimStrips:
     def test_trims_both_ends(self):
-        prof = StripProfile("horizontal", 10, np.array([0, 1, 9, 10, 9, 1, 0]), 0.0, 0.0, 5.0)
+        prof = StripProfile("horizontal", np.array([0, 1, 9, 10, 9, 1, 0]), 0.0, 0.0, 5.0)
         assert trim_strips(prof) == KeepRange(2, 4)
 
     def test_interior_dip_is_kept(self):
-        prof = StripProfile("horizontal", 10, np.array([9, 2, 9]), 0.0, 0.0, 5.0)
+        prof = StripProfile("horizontal", np.array([9, 2, 9]), 0.0, 0.0, 5.0)
         assert trim_strips(prof) == KeepRange(0, 2)
 
     def test_flat_profile_keeps_everything(self):
@@ -80,7 +80,7 @@ class TestTrimStrips:
         assert trim_strips(prof) == KeepRange(0, 3)
 
     def test_all_below_threshold_is_empty_roi(self):
-        prof = StripProfile("vertical", 10, np.array([1, 2, 1]), 0.0, 0.0, 99.0)
+        prof = StripProfile("vertical", np.array([1, 2, 1]), 0.0, 0.0, 99.0)
         with pytest.raises(EmptyRoiError):
             trim_strips(prof)
 

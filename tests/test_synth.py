@@ -115,11 +115,6 @@ class TestGeneratePalm:
         _, entries = generate_corpus(1, 2, 42, tmp_path / "c", margin=6)
         assert all(load_pgm(e.path).shape == (284, 384) for e in entries)
 
-    def test_mismatched_frame_rejected(self):
-        model = default_model()
-        with pytest.raises(ValueError, match="frame"):
-            generate_palm(model, SampleJitter(0), width=200, height=200)
-
     def test_identity_separation_in_feature_space(self):
         from palmroi.features import extract_features
         from palmroi.image import RoiRect
