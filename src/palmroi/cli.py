@@ -118,9 +118,11 @@ def cmd_enroll(args) -> int:
     entries = synth.read_manifest(args.manifest)
     masks = (edges.edge_mask(load_pgm(e.path), args.edge_threshold) for e in entries)
     if args.roi == "auto":
-        masks = list(masks)
+        # The rect needs every image's ranges, so each mask waits for it packed.
         params = _roi_params(args)
-        rect = roi.common_roi([roi.ranges_from_mask(m, params) for m in masks], params.strip_px)
+        profiled = [(roi.ranges_from_mask(m, params), edges.pack_mask(m)) for m in masks]
+        rect = roi.common_roi([ranges for ranges, _ in profiled], params.strip_px)
+        masks = (edges.unpack_mask(packed) for _, packed in profiled)
     samples = []
     for e, m in zip(entries, masks):
         if args.roi != "auto":

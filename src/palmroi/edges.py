@@ -5,6 +5,8 @@ edge mask within it. The mask is computed once over the full image, so
 region borders see true gradients; pixels outside the region are treated
 as non-edge when counting. Regions are the tiles between consecutive row
 and column cuts: the strips of the ROI search, the cells of a feature grid.
+A mask that must wait for the corpus-wide ROI is kept bit-packed, one bit
+per pixel.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ def edge_mask(img: np.ndarray, threshold: int = DEFAULT_EDGE_THRESHOLD) -> np.nd
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     return kernels.sobel_l1(img) >= threshold
+
+
+def pack_mask(mask: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """(bits, shape) of a 2-D boolean mask: 1/8 of a byte per pixel; ``unpack_mask`` inverts it."""
+    return np.packbits(mask, axis=None), mask.shape
+
+
+def unpack_mask(packed: tuple[np.ndarray, tuple[int, int]]) -> np.ndarray:
+    """The C-contiguous 2-D boolean mask that ``pack_mask`` packed."""
+    bits, (h, w) = packed
+    return np.unpackbits(bits, count=h * w).view(np.bool_).reshape(h, w)
 
 
 def count_connected_lines(mask: np.ndarray, row_cuts, col_cuts) -> np.ndarray:

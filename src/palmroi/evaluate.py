@@ -90,42 +90,43 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
     resubstitution = cfg.train_frac == 1.0
     ordered = train if resubstitution else train + test
 
-    images = _parallel_map(lambda e: load_pgm(e.path), ordered, cfg.workers)
-    shape = images[0].shape
-    for entry, img in zip(ordered, images):
-        if img.shape != shape:
+    def prepare(item):
+        """(full rect, keep ranges if a training image, packed edge mask) of one entry; the image is dropped."""
+        i, entry = item
+        img = load_pgm(entry.path)
+        mask = edges.edge_mask(img, cfg.roi.edge_threshold)
+        # keep_ranges repeats edge_mask's Sobel; pipebench/test_pipebench.py pins 180 edge_mask calls per pass
+        ranges = roi.keep_ranges(img, cfg.roi) if i < len(train) else None
+        return full_rect(img), ranges, edges.pack_mask(mask)
+
+    prepared = _parallel_map(prepare, enumerate(ordered), cfg.workers)
+    rect_full = prepared[0][0]
+    for entry, (rect, _, _) in zip(ordered, prepared):
+        if rect != rect_full:
             raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
+    rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared[: len(train)]], cfg.roi.strip_px)
 
-    masks = _parallel_map(lambda img: edges.edge_mask(img, cfg.roi.edge_threshold), images, cfg.workers)
-    train_imgs = images[: len(train)]
-    train_masks = masks[: len(train)]
-    test_masks = masks if resubstitution else masks[len(train) :]
+    # Each mask is unpacked once for all of its (mode, k) feature vectors.
+    modes = [(mode, rect, k) for mode, rect in (("full", rect_full), ("roi", rect_roi)) for k in sorted(cfg.k_values)]
+
+    def features(packed):
+        mask = edges.unpack_mask(packed)
+        return [features_from_mask(mask, rect, k) for _, rect, k in modes]
+
+    feats = _parallel_map(features, [packed for _, _, packed in prepared], cfg.workers)
+    feats_train = feats[: len(train)]
+    feats_test = feats if resubstitution else feats[len(train) :]
     test_entries = train if resubstitution else test
-
-    ranges = _parallel_map(
-        lambda img: roi.keep_ranges(img, cfg.roi), train_imgs, cfg.workers
-    )
-    rect_roi = roi.common_roi(ranges, cfg.roi.strip_px)
-    rect_full = full_rect(images[0])
 
     result = EvaluationResult(
         rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test_entries)
     )
-    for mode, rect in (("full", rect_full), ("roi", rect_roi)):
-        for k in sorted(cfg.k_values):
-            feats_train = _parallel_map(
-                lambda m: features_from_mask(m, rect, k), train_masks, cfg.workers
-            )
-            feats_test = _parallel_map(
-                lambda m: features_from_mask(m, rect, k), test_masks, cfg.workers
-            )
-            db = matcher.enroll(
-                (e.palm_id, e.sample_id, f) for e, f in zip(train, feats_train)
-            )
-            predictions = [
-                (matcher.identify(f, db, cfg.metric)[0], e.palm_id)
-                for e, f in zip(test_entries, feats_test)
-            ]
-            report = matcher.accuracy(predictions)
-            result.rows.append((mode, k, report.total, report.correct, report.R))
+    for j, (mode, _, k) in enumerate(modes):
+        db = matcher.enroll((e.palm_id, e.sample_id, f[j]) for e, f in zip(train, feats_train))
+        predictions = [
+            (matcher.identify(f[j], db, cfg.metric)[0], e.palm_id)
+            for e, f in zip(test_entries, feats_test)
+        ]
+        report = matcher.accuracy(predictions)
+        result.rows.append((mode, k, report.total, report.correct, report.R))
     return result

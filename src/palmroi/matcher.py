@@ -98,9 +98,11 @@ def identify(f: np.ndarray, db: TemplateDB, metric: str = "euclidean") -> tuple[
 def verify(
     f: np.ndarray, db: TemplateDB, claimed: str, tau: float, metric: str = "euclidean"
 ) -> bool:
-    """Accept iff the nearest template of the claimed palm is within tau."""
+    """Accept iff the nearest template of the claimed palm is within tau (a number >= 0)."""
     if math.isnan(tau):
         raise ValueError("tau must be a number, got nan")
+    if tau < 0:  # no distance is below 0, so every claim would be rejected
+        raise ValueError(f"tau must be >= 0, got {tau}")
     candidates = [t for t in db.templates if t.palm_id == claimed]
     if not candidates:
         raise ValueError(f"claimed palm_id {claimed!r} not enrolled")

@@ -288,6 +288,13 @@ class TestNumericFlags:
         assert rc == 1
         assert "tau must be a number" in capsys.readouterr().err
 
+    def test_negative_tau_is_exit_1(self, corpus_dir, enrolled, capsys):
+        db_path, _ = enrolled
+        image = str(corpus_dir / "p000_s00.pgm")
+        rc = main(["verify", "--db", str(db_path), "--image", image, "--claim", "p000", "--tau", "-1"])
+        assert rc == 1
+        assert "tau must be >= 0, got -1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3", "x"])
     def test_workers_below_1_is_a_usage_error(self, corpus_dir, capsys, workers):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from palmroi.edges import count_connected_lines, edge_mask
+from palmroi.edges import count_connected_lines, edge_mask, pack_mask, unpack_mask
+from palmroi.features import GRID_SHAPES, features_from_mask
+from palmroi.image import full_rect
 
 
 class TestSobel:
@@ -179,3 +181,19 @@ class TestBusyness:
             grad = oracles.sobel_l1_reference(img)
             expected = oracles.flood_fill_count(grad >= threshold)
             assert count_connected_lines(edge_mask(img, threshold), (0, 18), (0, 22)).tolist() == [[expected]]
+
+
+class TestPackedMask:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    def test_round_trip_is_bit_exact(self, h, w, seed):
+        # most h*w here are not a multiple of 8, so the last byte is partly padding
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+        back = unpack_mask(pack_mask(mask))
+        assert back.dtype == np.bool_ and back.shape == (h, w) and back.flags.c_contiguous
+        assert (back == mask).all()
+        rect = full_rect(mask)
+        for k, (rows, cols) in GRID_SHAPES.items():
+            if h >= rows and w >= cols:
+                assert (features_from_mask(back, rect, k) == features_from_mask(mask, rect, k)).all()

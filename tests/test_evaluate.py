@@ -78,11 +78,11 @@ class TestRunEvaluation:
             assert rate == f"{int(correct) / int(total):.6f}"
 
     def test_worker_count_does_not_change_output(self, small_manifest):
-        cfg1 = RunConfig(train_frac=0.5, workers=1)
-        cfg4 = RunConfig(train_frac=0.5, workers=4)
-        assert run_evaluation(small_manifest, cfg1).to_csv() == run_evaluation(
-            small_manifest, cfg4
-        ).to_csv()
+        # a held-out split and resubstitution, which reuses the training features as test features
+        for train_frac, workers in ((0.5, 4), (1.0, 3)):
+            one = run_evaluation(small_manifest, RunConfig(train_frac=train_frac, workers=1))
+            many = run_evaluation(small_manifest, RunConfig(train_frac=train_frac, workers=workers))
+            assert (one.to_csv(), one.roi_rect) == (many.to_csv(), many.roi_rect)
 
     def test_roi_is_fit_on_training_images_only(self, small_manifest, monkeypatch):
         import palmroi.evaluate as ev

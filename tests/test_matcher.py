@@ -156,6 +156,11 @@ class TestVerify:
     def test_exact_sample_accepts_at_tau_zero(self):
         assert verify(vec(0.2, 0.1), self.db, "p0", tau=0.0)
 
+    def test_negative_zero_tau_accepts_and_negative_tau_is_rejected(self):
+        assert verify(vec(0.2, 0.1), self.db, "p0", tau=-0.0)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            verify(vec(0.2, 0.1), self.db, "p0", tau=-1e-12)
+
     def test_no_exact_match_rejects_at_tau_zero(self):
         assert not verify(vec(0.15, 0.15), self.db, "p0", tau=0.0)
 
