@@ -81,13 +81,22 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def stream_u64(seed: int, n: int) -> np.ndarray:
-    """First ``n`` outputs of SplitMix64(seed), vectorized (uint64)."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(int(seed) & MASK64) + np.uint64(GAMMA) * idx
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+def stream_u64(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Outputs ``start .. start + n - 1`` of SplitMix64(seed), vectorized (uint64).
+
+    Output ``k`` depends on ``seed + (k + 1) * GAMMA`` alone, so any stretch
+    of the stream can be drawn without the outputs before it.
+    """
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(int(seed) & MASK64)
+    t = np.empty_like(z)
+    for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mult is not None:
+            z *= np.uint64(mult)
+    return z
 
 
 def stream_floats(seed: int, n: int) -> np.ndarray:
@@ -95,15 +104,36 @@ def stream_floats(seed: int, n: int) -> np.ndarray:
     return (stream_u64(seed, n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+# Field elements drawn per block: the block's 2 x 128 KB of stream outputs
+# and its float buffer stay in cache through the Box-Muller steps.
+_FIELD_BLOCK = 1 << 14
+
+
 def normal_field(seed: int, shape: tuple, sigma: float = 1.0) -> np.ndarray:
     """Gaussian field of the given shape from one stream (Box-Muller pairs).
 
     Element ``i`` (row-major) uses stream outputs ``2i`` and ``2i + 1``, so
-    the field is a pure function of (seed, shape, sigma).
+    the field is a pure function of (seed, shape, sigma).  It is filled in
+    blocks of ``_FIELD_BLOCK`` elements, each drawn from its own offset into
+    the stream; the block size changes no bit of the result.
     """
     m = int(np.prod(shape))
-    u = stream_u64(seed, 2 * m)
-    u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return (sigma * z).reshape(shape)
+    out = np.empty(m, dtype=np.float64)
+    angle = np.empty(min(m, _FIELD_BLOCK), dtype=np.float64)
+    for lo in range(0, m, _FIELD_BLOCK):
+        radius = out[lo : lo + _FIELD_BLOCK]
+        n = len(radius)
+        u = stream_u64(seed, 2 * n, 2 * lo) >> np.uint64(11)
+        # radius = sqrt(-2 ln u1) with u1 in (0, 1]; angle = 2 pi u2 with u2 in [0, 1)
+        np.add(u[0::2], 1.0, out=radius)
+        radius *= _INV_2_53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta = angle[:n]
+        np.multiply(u[1::2], _INV_2_53, out=theta)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=theta)
+        radius *= theta
+        radius *= sigma
+    return out.reshape(shape)

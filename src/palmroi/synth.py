@@ -16,9 +16,9 @@ rendering stays integer-exact.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -78,10 +78,7 @@ class PalmModel:
         height: int = DEFAULT_HEIGHT,
         margin: int = DEFAULT_MARGIN,
     ) -> "PalmModel":
-        if width < 100 or height < 100:
-            raise ValueError(f"frame must be at least 100x100, got {width}x{height}")
-        if width - 2 * margin < 40 or height - 2 * margin < 40:
-            raise ValueError(f"frame {width}x{height} too small for margin {margin}")
+        _check_frame(width, height, margin)
         rng = SplitMix64(mix(identity_seed, _TAG_MODEL))
         base_gray = rng.randint(130, 190)
         ridge_sigma = rng.uniform(9.0, 13.0)
@@ -158,6 +155,16 @@ class SampleJitter:
             raise ValueError("jitter magnitudes must be non-negative")
 
 
+def _check_frame(width: int, height: int, margin: int, max_translation: int = 0) -> None:
+    """Reject a frame too small for its margin, or a margin a sample's translation could cross."""
+    if width < 100 or height < 100:
+        raise ValueError(f"frame must be at least 100x100, got {width}x{height}")
+    if width - 2 * margin < 40 or height - 2 * margin < 40:
+        raise ValueError(f"frame {width}x{height} too small for margin {margin}")
+    if max_translation > margin:
+        raise ValueError(f"margin {margin} is smaller than the max translation {max_translation}")
+
+
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
@@ -202,13 +209,14 @@ def _stamp_stroke(canvas: np.ndarray, stroke: Stroke, dx: int, dy: int, value: i
     canvas[yy[ok], xx[ok]] = float(value)
 
 
-@functools.lru_cache(maxsize=1)
-def _ridge_layer(model: PalmModel) -> np.ndarray:
+def _ridge_layer(model: PalmModel) -> np.ndarray | None:
     """The identity's ridge noise over the content box, zero outside its active blocks.
 
-    It is the same for every sample of the model, so it is built once per
-    model; a corpus renders identity by identity. Read-only.
+    It is the same for every sample of the model; None when the model has
+    no ridge noise.
     """
+    if model.ridge_noise_sigma <= 0:
+        return None
     m = model.margin
     iw, ih = model.width - 2 * m, model.height - 2 * m
     field = normal_field(mix(model.identity_seed, _TAG_RIDGE), (ih, iw), model.ridge_noise_sigma)
@@ -217,9 +225,8 @@ def _ridge_layer(model: PalmModel) -> np.ndarray:
     u = stream_floats(mix(model.identity_seed, _TAG_PATCH), nby * nbx)
     active = (u < model.ridge_patch_prob).reshape(nby, nbx)
     patch = np.repeat(np.repeat(active, _PATCH_BLOCK, axis=0), _PATCH_BLOCK, axis=1)
-    layer = field * patch[:ih, :iw]
-    layer.flags.writeable = False
-    return layer
+    field *= patch[:ih, :iw]
+    return field
 
 
 def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
@@ -231,17 +238,18 @@ def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
     in (model, jitter). The jitter's translation may not exceed the
     model's margin, which keeps the content box inside the frame.
     """
-    if jitter.max_translation > model.margin:
-        raise ValueError(
-            f"margin {model.margin} is smaller than the max translation {jitter.max_translation}"
-        )
+    return _render(model, _ridge_layer(model), jitter)
+
+
+def _render(model: PalmModel, layer: np.ndarray | None, jitter: SampleJitter) -> np.ndarray:
+    """``generate_palm`` with the model's ridge layer already built, so a corpus builds it once per identity."""
+    _check_frame(model.width, model.height, model.margin, jitter.max_translation)
     dx, dy = sample_translation(jitter)
     wobble_rng = SplitMix64(mix(jitter.sample_seed, _TAG_WOBBLE))
 
     canvas = np.full((model.height, model.width), float(model.base_gray), dtype=np.float64)
 
-    if model.ridge_noise_sigma > 0:
-        layer = _ridge_layer(model)
+    if layer is not None:
         y0, x0 = model.margin + dy, model.margin + dx
         canvas[y0 : y0 + layer.shape[0], x0 : x0 + layer.shape[1]] += layer
 
@@ -288,21 +296,36 @@ def generate_corpus(
     """
     if identities < 1 or samples_per_identity < 1:
         raise ValueError("identities and samples_per_identity must be >= 1")
+    _check_frame(width, height, margin, SampleJitter.max_translation)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i in range(identities):
+
+    def write_identity(i: int) -> list[ManifestEntry]:
         model = PalmModel.from_seed(identity_seed_for(master_seed, i), width, height, margin)
+        layer = _ridge_layer(model)
         palm_id = f"p{i:03d}"
+        entries = []
         for j in range(samples_per_identity):
-            jitter = SampleJitter(sample_seed_for(master_seed, i, j))
-            img = generate_palm(model, jitter)
+            img = _render(model, layer, SampleJitter(sample_seed_for(master_seed, i, j)))
             name = f"{palm_id}_s{j:02d}.pgm"
             save_pgm(img, out_dir / name)
             entries.append(ManifestEntry(out_dir / name, palm_id, f"s{j:02d}"))
+        return entries
+
+    # Every identity has its own streams, so the files do not depend on which thread writes them.
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), identities)) as pool:
+        entries = [e for identity in pool.map(write_identity, range(identities)) for e in identity]
     manifest = out_dir / "manifest.tsv"
     write_manifest(entries, manifest)
     return manifest, entries
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def write_manifest(entries, path) -> None:

@@ -128,3 +128,15 @@ def box_muller_normal(rng, mu=0.0, sigma=1.0) -> float:
     u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
     u2 = (rng.next_u64() >> 11) * 2.0**-53  # [0, 1)
     return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def normal_field_reference(seed, shape, sigma=1.0) -> np.ndarray:
+    """Box-Muller field over the whole array at once: element i (row-major) from SplitMix64 outputs 2i and 2i + 1."""
+    m = int(np.prod(shape))
+    z = np.uint64(int(seed) % 2**64) + np.uint64(0x9E3779B97F4A7C15) * np.arange(1, 2 * m + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = z ^ (z >> np.uint64(31))
+    u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))).reshape(shape)

@@ -23,6 +23,14 @@ def test_gen_dataset_writes_corpus(corpus_dir):
     assert len(list(corpus_dir.glob("*.pgm"))) == 12
 
 
+@pytest.mark.parametrize("size", [["--width", "50"], ["--height", "99"]])
+def test_gen_dataset_bad_frame_is_exit_1_and_writes_nothing(tmp_path, capsys, size):
+    out = tmp_path / "c"
+    assert main(["gen-dataset", "--identities", "2", "--samples", "1", "--out", str(out)] + size) == 1
+    assert "frame" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestExtractRoi:
     def test_constant_frame(self, tmp_path, capsys, flat_image):
         src = tmp_path / "flat.pgm"

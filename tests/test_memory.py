@@ -1,4 +1,5 @@
-"""Bounded memory: enrollment and evaluation keep a packed mask per image, not an image or a full mask."""
+"""Bounded memory: enrollment and evaluation keep a packed mask per image, not an image or a full mask;
+a noise field is drawn in blocks, not from one stream of its full size."""
 
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from palmroi import cli, synth
 from palmroi.evaluate import RunConfig, run_evaluation
+from palmroi.rng import normal_field
 
 MASK_BYTES = synth.DEFAULT_WIDTH * synth.DEFAULT_HEIGHT  # one unpacked bool edge mask
 
@@ -45,3 +47,11 @@ def test_peak_grows_by_under_a_quarter_mask_per_image(manifests, tmp_path, run):
     peaks = [peak_bytes(lambda m=m: run(m, tmp_path)) for m in (half, full)]
     per_image = (peaks[1] - peaks[0]) / 8
     assert per_image < MASK_BYTES / 4, f"peaks {peaks} B: {per_image / MASK_BYTES:.2f} masks per added image"
+
+
+def test_noise_field_peak_is_under_three_fields():
+    shape = (synth.DEFAULT_HEIGHT, synth.DEFAULT_WIDTH)
+    field_bytes = shape[0] * shape[1] * 8
+    normal_field(3, shape)  # untraced first call
+    peak = peak_bytes(lambda: normal_field(3, shape, 3.0))
+    assert peak < 3 * field_bytes, f"peak {peak} B is {peak / field_bytes:.2f} fields"

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from palmroi.rng import SplitMix64, mix, normal_field, stream_floats, stream_u64
+from palmroi.rng import _FIELD_BLOCK, SplitMix64, mix, normal_field, stream_floats, stream_u64
 
 # Published SplitMix64 outputs for seed 0; matching them pins the exact
 # finalizer constants and state increment.
@@ -24,6 +26,17 @@ def test_vectorized_stream_matches_scalar():
         rng = SplitMix64(seed)
         scalar = np.array([rng.next_u64() for _ in range(100)], dtype=np.uint64)
         assert (stream_u64(seed, 100) == scalar).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 70), start=st.integers(0, 5000))
+def test_stream_from_any_start(seed, n, start):
+    part = stream_u64(seed, n, start)
+    assert part.tobytes() == stream_u64(seed, n + start)[start:].tobytes()
+    rng = SplitMix64(seed)
+    for _ in range(start):
+        rng.next_u64()
+    assert part.tolist() == [rng.next_u64() for _ in range(n)]
 
 
 def test_stream_golden_hash():
@@ -74,3 +87,23 @@ def test_normal_field_deterministic_and_plausible():
     # transcendentals may differ in the last ulp, hence the tolerance)
     rng = SplitMix64(77)
     assert f1.ravel()[0] == pytest.approx(3.0 * oracles.box_muller_normal(rng), rel=1e-12)
+
+
+FIELD_SHAPES = [
+    (1, 1),
+    (1, _FIELD_BLOCK - 1),
+    (1, _FIELD_BLOCK),
+    (1, _FIELD_BLOCK + 1),
+    (1, 2 * _FIELD_BLOCK + 1),
+    (224, 324),  # a default-frame ridge layer
+    (284, 384),  # a default-frame sensor noise field
+]
+
+
+@pytest.mark.parametrize("shape", FIELD_SHAPES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), sigma=st.one_of(st.floats(0.0, 100.0), st.integers(0, 20)))
+def test_blocked_field_is_bit_identical_to_whole_array(seed, shape, sigma):
+    field = normal_field(seed, shape, sigma)
+    assert field.shape == shape and field.dtype == np.float64
+    assert field.tobytes() == oracles.normal_field_reference(seed, shape, sigma).tobytes()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from palmroi import roi
+from palmroi import cli, roi, synth
 from palmroi.edges import edge_mask
 from palmroi.image import load_pgm
 from palmroi.synth import (
@@ -110,6 +110,7 @@ class TestGeneratePalm:
     def test_margin_below_max_translation_rejected(self, tmp_path, margin):
         with pytest.raises(ValueError, match="margin"):
             generate_corpus(1, 2, 42, tmp_path / "c", margin=margin)
+        assert not (tmp_path / "c").exists()
 
     def test_margin_equal_to_max_translation_renders(self, tmp_path):
         _, entries = generate_corpus(1, 2, 42, tmp_path / "c", margin=6)
@@ -190,6 +191,33 @@ class TestCorpus:
     def test_bad_counts(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(0, 5, 1, tmp_path / "c")
+
+    def test_bytes_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+        corpora = []
+        for threads in (1, 3):
+            monkeypatch.setattr(synth, "_cpu_count", lambda threads=threads: threads)
+            manifest, entries = generate_corpus(4, 2, 13, tmp_path / f"t{threads}")
+            corpora.append([manifest.read_bytes()] + [e.path.read_bytes() for e in entries])
+        assert len(corpora[0]) == 9
+        assert corpora[0] == corpora[1]
+
+    def test_render_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        failing_seed = sample_seed_for(13, 2, 1)
+        error = ValueError("render failed")
+        render = synth._render
+
+        def failing_render(model, layer, jitter):
+            if jitter.sample_seed == failing_seed:
+                raise error
+            return render(model, layer, jitter)
+
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(synth, "_render", failing_render)
+        with pytest.raises(ValueError) as caught:
+            generate_corpus(4, 2, 13, tmp_path / "c")
+        assert caught.value is error
+        argv = ["gen-dataset", "--identities", "4", "--samples", "2", "--seed", "13", "--out", str(tmp_path / "d")]
+        assert cli.main(argv) == 1
 
 
 _names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=6)
