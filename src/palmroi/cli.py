@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import edges, matcher, roi, synth
-from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation
+from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation, same_frame
 from .features import GRID_SHAPES, extract_features, features_from_mask
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
@@ -55,17 +55,17 @@ def _workers(text: str) -> int:
 
 
 def _parse_rect(text: str) -> RoiRect:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 4:
-        raise ValueError(f"expected 'x0 y0 width height', got {text!r}")
-    x0, y0, w, h = (int(p) for p in parts)
+    try:
+        x0, y0, w, h = (int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"expected 'x0 y0 width height', got {text!r}") from None
     return RoiRect(x0, y0, w, h)
 
 
-def _resolve_rect(spec: str, mask) -> RoiRect:
-    """ROI spec: 'full', '@file' sidecar, or 'x0 y0 w h'."""
+def _resolve_rect(spec: str, frame: RoiRect) -> RoiRect:
+    """ROI spec: 'full' (the frame), '@file' sidecar, or 'x0 y0 w h'."""
     if spec == "full":
-        return full_rect(mask)
+        return frame
     if spec.startswith("@"):
         return _parse_rect(Path(spec[1:]).read_text())
     return _parse_rect(spec)
@@ -111,24 +111,22 @@ def cmd_histcmp(args) -> int:
 
 def _image_features(path, rect_spec, k, edge_threshold):
     img = load_pgm(path)
-    return extract_features(img, _resolve_rect(rect_spec, img), k, edge_threshold)
+    return extract_features(img, _resolve_rect(rect_spec, full_rect(img)), k, edge_threshold)
 
 
 def cmd_enroll(args) -> int:
     entries = synth.read_manifest(args.manifest)
-    masks = (edges.edge_mask(load_pgm(e.path), args.edge_threshold) for e in entries)
-    if args.roi == "auto":
-        # The rect needs every image's ranges, so each mask waits for it packed.
-        params = _roi_params(args)
-        profiled = [(roi.ranges_from_mask(m, params), edges.pack_mask(m)) for m in masks]
-        rect = roi.common_roi([ranges for ranges, _ in profiled], params.strip_px)
-        masks = (edges.unpack_mask(packed) for _, packed in profiled)
-    samples = []
-    for e, m in zip(entries, masks):
-        if args.roi != "auto":
-            rect = _resolve_rect(args.roi, m)
-        samples.append((e.palm_id, e.sample_id, features_from_mask(m, rect, args.k)))
-    db = matcher.enroll(samples)
+    params = _roi_params(args)
+    auto = args.roi == "auto"
+    masks = (edges.edge_mask(load_pgm(e.path), params.edge_threshold) for e in entries)
+    # Each mask waits packed for the frame check and the rect; auto fits the rect to every image's ranges.
+    prepared = [(full_rect(m), roi.ranges_from_mask(m, params) if auto else None, edges.pack_mask(m)) for m in masks]
+    frame = same_frame(entries, [f for f, _, _ in prepared])
+    rect = roi.common_roi([r for _, r, _ in prepared], params.strip_px) if auto else _resolve_rect(args.roi, frame)
+    db = matcher.enroll(
+        (e.palm_id, e.sample_id, features_from_mask(edges.unpack_mask(packed), rect, args.k))
+        for e, (_, _, packed) in zip(entries, prepared)
+    )
     matcher.save_db(db, args.out)
     if args.roi_out:
         Path(args.roi_out).write_text(_rect_line(rect) + "\n")

@@ -4,21 +4,20 @@ For each feature size the harness enrolls the training samples and
 identifies every test sample twice: once over the full frame and once over
 the common ROI fitted on the *training* images only (test images are
 cropped with the training-derived rect, so no test information leaks into
-the ROI). Per-image stages may run on a thread pool; results are assembled
-in manifest order, so the report is byte-identical for any worker count.
+the ROI). Per-image stages may run on a thread pool; results keep their
+input order, so the report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import edges, matcher, roi
 from .features import features_from_mask
-from .image import full_rect, load_pgm
+from .image import RoiRect, full_rect, load_pgm
 from .rng import SplitMix64, mix
 from .roi import RoiParams
-from .synth import ManifestEntry, read_manifest
+from .synth import ManifestEntry, _thread_map, read_manifest
 
 DEFAULT_SEED = 42
 _SPLIT_TAG = 0x51
@@ -37,7 +36,7 @@ class RunConfig:
 @dataclass
 class EvaluationResult:
     rows: list[tuple[str, int, int, int, float]]  # (mode, k, total, correct, R)
-    roi_rect: "roi.RoiRect"
+    roi_rect: RoiRect
     train_count: int
     test_count: int
 
@@ -77,34 +76,31 @@ def split_corpus(
     return train, test
 
 
-def _parallel_map(fn, items, workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def same_frame(entries: list[ManifestEntry], frames: list[RoiRect]) -> RoiRect:
+    """The frame rect every entry's image shares; the first entry that differs is named."""
+    for entry, frame in zip(entries, frames):
+        if frame != frames[0]:
+            raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
+    return frames[0]
 
 
 def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationResult:
     entries = read_manifest(manifest_path)
     train, test = split_corpus(entries, cfg.train_frac, cfg.seed)
-    resubstitution = cfg.train_frac == 1.0
-    ordered = train if resubstitution else train + test
+    in_train = set(train)
+    images = list(dict.fromkeys(train + test))  # under resubstitution test is train: one mask per image
 
-    def prepare(item):
-        """(full rect, keep ranges if a training image, packed edge mask) of one entry; the image is dropped."""
-        i, entry = item
+    def prepare(entry):
+        """(frame rect, keep ranges if a training image, packed edge mask) of one entry; the image is dropped."""
         img = load_pgm(entry.path)
         mask = edges.edge_mask(img, cfg.roi.edge_threshold)
         # keep_ranges repeats edge_mask's Sobel; pipebench/test_pipebench.py pins 180 edge_mask calls per pass
-        ranges = roi.keep_ranges(img, cfg.roi) if i < len(train) else None
+        ranges = roi.keep_ranges(img, cfg.roi) if entry in in_train else None
         return full_rect(img), ranges, edges.pack_mask(mask)
 
-    prepared = _parallel_map(prepare, enumerate(ordered), cfg.workers)
-    rect_full = prepared[0][0]
-    for entry, (rect, _, _) in zip(ordered, prepared):
-        if rect != rect_full:
-            raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
-    rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared[: len(train)]], cfg.roi.strip_px)
+    prepared = _thread_map(prepare, images, cfg.workers)
+    rect_full = same_frame(images, [frame for frame, _, _ in prepared])
+    rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared if ranges is not None], cfg.roi.strip_px)
 
     # Each mask is unpacked once for all of its (mode, k) feature vectors.
     modes = [(mode, rect, k) for mode, rect in (("full", rect_full), ("roi", rect_roi)) for k in sorted(cfg.k_values)]
@@ -113,20 +109,12 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         mask = edges.unpack_mask(packed)
         return [features_from_mask(mask, rect, k) for _, rect, k in modes]
 
-    feats = _parallel_map(features, [packed for _, _, packed in prepared], cfg.workers)
-    feats_train = feats[: len(train)]
-    feats_test = feats if resubstitution else feats[len(train) :]
-    test_entries = train if resubstitution else test
+    feats = dict(zip(images, _thread_map(features, [packed for _, _, packed in prepared], cfg.workers)))
 
-    result = EvaluationResult(
-        rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test_entries)
-    )
+    result = EvaluationResult(rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test))
     for j, (mode, _, k) in enumerate(modes):
-        db = matcher.enroll((e.palm_id, e.sample_id, f[j]) for e, f in zip(train, feats_train))
-        predictions = [
-            (matcher.identify(f[j], db, cfg.metric)[0], e.palm_id)
-            for e, f in zip(test_entries, feats_test)
-        ]
+        db = matcher.enroll((e.palm_id, e.sample_id, feats[e][j]) for e in train)
+        predictions = [(matcher.identify(feats[e][j], db, cfg.metric)[0], e.palm_id) for e in test]
         report = matcher.accuracy(predictions)
         result.rows.append((mode, k, report.total, report.correct, report.R))
     return result

@@ -313,11 +313,19 @@ def generate_corpus(
         return entries
 
     # Every identity has its own streams, so the files do not depend on which thread writes them.
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), identities)) as pool:
-        entries = [e for identity in pool.map(write_identity, range(identities)) for e in identity]
+    per_identity = _thread_map(write_identity, range(identities), min(_cpu_count(), identities))
+    entries = [e for identity in per_identity for e in identity]
     manifest = out_dir / "manifest.tsv"
     write_manifest(entries, manifest)
     return manifest, entries
+
+
+def _thread_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on up to workers threads; results keep the order of items."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _cpu_count() -> int:

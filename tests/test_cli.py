@@ -7,7 +7,7 @@ import oracles
 from palmroi.cli import main
 from palmroi.image import load_pgm, save_pgm
 from palmroi.matcher import enroll, load_db, save_db
-from palmroi.synth import ManifestEntry, write_manifest
+from palmroi.synth import ManifestEntry, generate_corpus, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -181,12 +181,40 @@ class TestEnrollIdentifyVerify:
         assert rc == 1
         assert "not enrolled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["auto", "1 2 3"])
+    @pytest.mark.parametrize("spec", ["auto", "1 2 3", "1 2 3 x"])
     def test_identify_rejects_per_image_auto_like_a_malformed_rect(self, corpus_dir, enrolled, capsys, spec):
         db_path, _ = enrolled
         rc = main(["identify", "--db", str(db_path), "--image", str(corpus_dir / "p000_s00.pgm"), "--roi", spec])
         assert rc == 1
         assert "expected 'x0 y0 width height'" in capsys.readouterr().err
+
+
+class TestFrameRule:
+    """enroll and evaluate reject a manifest whose images differ in size, naming the first that differs."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("mixed")
+        _, small = generate_corpus(2, 2, 5, out / "small")
+        _, large = generate_corpus(2, 2, 5, out / "large", width=400, height=300)
+        manifest = out / "manifest.tsv"
+        write_manifest([e for e in small if e.palm_id == "p000"] + [e for e in large if e.palm_id == "p001"], manifest)
+        message = f"palmroi: error: {out / 'large' / 'p001_s00.pgm'}: dimensions differ from the rest of the corpus\n"
+        return manifest, message
+
+    @pytest.mark.parametrize("spec", ["auto", "full", "30 30 100 100"])
+    def test_enroll_exits_1_and_writes_nothing(self, mixed, tmp_path, capsys, spec):
+        manifest, message = mixed
+        db, rect = tmp_path / "db.tsv", tmp_path / "r.rect"
+        argv = ["enroll", "--manifest", str(manifest), "--roi", spec, "--out", str(db), "--roi-out", str(rect)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+        assert not db.exists() and not rect.exists()
+
+    def test_evaluate_exits_1_with_the_same_message(self, mixed, capsys):
+        manifest, message = mixed
+        assert main(["evaluate", "--manifest", str(manifest), "--train-frac", "1.0"]) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestParseErrors:

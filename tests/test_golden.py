@@ -37,6 +37,16 @@ def test_evaluate_csv(default_corpus, tmp_path, capsys):
     assert capsys.readouterr().out == EVALUATE_CSV
 
 
+def test_evaluate_resubstitution(default_corpus, capsys):
+    manifest, _ = default_corpus
+    assert main(["evaluate", "--manifest", str(manifest), "--train-frac", "1.0"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "mode,k,total,correct,R\n" + "".join(
+        f"{mode},{k},120,120,1.000000\n" for mode in ("full", "roi") for k in (4, 8, 16)
+    )
+    assert err == "# common roi 30 30 320 230; 120 train / 120 test\n"
+
+
 def test_enroll_auto_db_and_common_roi(default_corpus, tmp_path):
     manifest, _ = default_corpus
     db, rect = tmp_path / "templates.tsv", tmp_path / "common.rect"

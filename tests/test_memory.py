@@ -36,11 +36,15 @@ def enroll_auto(manifest, tmp_path):
     assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "db.tsv"), "--roi", "auto"]) == 0
 
 
+def enroll_full(manifest, tmp_path):
+    assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "db.tsv"), "--roi", "full"]) == 0
+
+
 def evaluate(manifest, tmp_path):
     run_evaluation(manifest, RunConfig())
 
 
-@pytest.mark.parametrize("run", [enroll_auto, evaluate])
+@pytest.mark.parametrize("run", [enroll_auto, enroll_full, evaluate])
 def test_peak_grows_by_under_a_quarter_mask_per_image(manifests, tmp_path, run):
     half, full = manifests
     run(half, tmp_path)  # untraced first run: lazy imports and caches are not per-image memory
