@@ -62,13 +62,16 @@ def _parse_rect(text: str) -> RoiRect:
     return RoiRect(x0, y0, w, h)
 
 
-def _resolve_rect(spec: str, frame: RoiRect) -> RoiRect:
-    """ROI spec: 'full' (the frame), '@file' sidecar, or 'x0 y0 w h'."""
-    if spec == "full":
-        return frame
+def _fixed_rect(spec: str) -> RoiRect:
+    """ROI spec that needs no image: '@file' sidecar or 'x0 y0 w h'."""
     if spec.startswith("@"):
         return _parse_rect(Path(spec[1:]).read_text())
     return _parse_rect(spec)
+
+
+def _resolve_rect(spec: str, frame: RoiRect) -> RoiRect:
+    """ROI spec: 'full' (the frame), '@file' sidecar, or 'x0 y0 w h'."""
+    return frame if spec == "full" else _fixed_rect(spec)
 
 
 def _rect_line(rect: RoiRect) -> str:
@@ -118,11 +121,16 @@ def cmd_enroll(args) -> int:
     entries = synth.read_manifest(args.manifest)
     params = _roi_params(args)
     auto = args.roi == "auto"
+    # A literal or @file rect is read before any image, so a bad spec fails first.
+    fixed = None if auto or args.roi == "full" else _fixed_rect(args.roi)
     masks = (edges.edge_mask(load_pgm(e.path), params.edge_threshold) for e in entries)
     # Each mask waits packed for the frame check and the rect; auto fits the rect to every image's ranges.
     prepared = [(full_rect(m), roi.ranges_from_mask(m, params) if auto else None, edges.pack_mask(m)) for m in masks]
     frame = same_frame(entries, [f for f, _, _ in prepared])
-    rect = roi.common_roi([r for _, r, _ in prepared], params.strip_px) if auto else _resolve_rect(args.roi, frame)
+    if auto:
+        rect = roi.common_roi([r for _, r, _ in prepared], params.strip_px)
+    else:
+        rect = frame if fixed is None else fixed
     db = matcher.enroll(
         (e.palm_id, e.sample_id, features_from_mask(edges.unpack_mask(packed), rect, args.k))
         for e, (_, _, packed) in zip(entries, prepared)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,11 +64,10 @@ class PalmModel:
     width: int
     height: int
     margin: int
-    base_gray: int  # in [120, 200]
-    ridge_noise_sigma: float  # fine-texture noise level inside the content box
-    ridge_patch_prob: float  # fraction of content blocks carrying ridge noise
+    base_gray: int  # in [130, 190]
     principal_lines: tuple[Stroke, ...]  # the 3 dominant creases
     wrinkles: tuple[Stroke, ...]
+    ridge: np.ndarray = field(repr=False, compare=False)  # read-only fine-texture noise over the content box
 
     @classmethod
     def from_seed(
@@ -134,10 +133,9 @@ class PalmModel:
             height=height,
             margin=margin,
             base_gray=base_gray,
-            ridge_noise_sigma=ridge_sigma,
-            ridge_patch_prob=patch_prob,
             principal_lines=tuple(lines),
             wrinkles=tuple(wrinkles),
+            ridge=_ridge_layer(identity_seed, iw, ih, ridge_sigma, patch_prob),
         )
 
 
@@ -171,8 +169,6 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 
 def sample_translation(jitter: SampleJitter) -> tuple[int, int]:
     """(dx, dy) content shift applied when rendering with this jitter."""
-    if jitter.max_translation == 0:
-        return 0, 0
     rng = SplitMix64(mix(jitter.sample_seed, _TAG_SHIFT))
     mt = jitter.max_translation
     return rng.randint(-mt, mt), rng.randint(-mt, mt)
@@ -209,24 +205,20 @@ def _stamp_stroke(canvas: np.ndarray, stroke: Stroke, dx: int, dy: int, value: i
     canvas[yy[ok], xx[ok]] = float(value)
 
 
-def _ridge_layer(model: PalmModel) -> np.ndarray | None:
-    """The identity's ridge noise over the content box, zero outside its active blocks.
+def _ridge_layer(identity_seed: int, iw: int, ih: int, sigma: float, patch_prob: float) -> np.ndarray:
+    """Read-only ridge noise over an iw x ih content box, zero outside its active blocks.
 
-    It is the same for every sample of the model; None when the model has
-    no ridge noise.
+    ``patch_prob`` is the fraction of ``_PATCH_BLOCK`` blocks that carry noise.
     """
-    if model.ridge_noise_sigma <= 0:
-        return None
-    m = model.margin
-    iw, ih = model.width - 2 * m, model.height - 2 * m
-    field = normal_field(mix(model.identity_seed, _TAG_RIDGE), (ih, iw), model.ridge_noise_sigma)
+    ridge = normal_field(mix(identity_seed, _TAG_RIDGE), (ih, iw), sigma)
     nby = -(-ih // _PATCH_BLOCK)
     nbx = -(-iw // _PATCH_BLOCK)
-    u = stream_floats(mix(model.identity_seed, _TAG_PATCH), nby * nbx)
-    active = (u < model.ridge_patch_prob).reshape(nby, nbx)
+    u = stream_floats(mix(identity_seed, _TAG_PATCH), nby * nbx)
+    active = (u < patch_prob).reshape(nby, nbx)
     patch = np.repeat(np.repeat(active, _PATCH_BLOCK, axis=0), _PATCH_BLOCK, axis=1)
-    field *= patch[:ih, :iw]
-    return field
+    ridge *= patch[:ih, :iw]
+    ridge.flags.writeable = False
+    return ridge
 
 
 def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
@@ -238,29 +230,22 @@ def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
     in (model, jitter). The jitter's translation may not exceed the
     model's margin, which keeps the content box inside the frame.
     """
-    return _render(model, _ridge_layer(model), jitter)
-
-
-def _render(model: PalmModel, layer: np.ndarray | None, jitter: SampleJitter) -> np.ndarray:
-    """``generate_palm`` with the model's ridge layer already built, so a corpus builds it once per identity."""
     _check_frame(model.width, model.height, model.margin, jitter.max_translation)
     dx, dy = sample_translation(jitter)
     wobble_rng = SplitMix64(mix(jitter.sample_seed, _TAG_WOBBLE))
 
     canvas = np.full((model.height, model.width), float(model.base_gray), dtype=np.float64)
 
-    if layer is not None:
-        y0, x0 = model.margin + dy, model.margin + dx
-        canvas[y0 : y0 + layer.shape[0], x0 : x0 + layer.shape[1]] += layer
+    y0, x0 = model.margin + dy, model.margin + dx
+    ih, iw = model.ridge.shape
+    canvas[y0 : y0 + ih, x0 : x0 + iw] += model.ridge
 
+    ij = jitter.intensity_jitter
     for stroke in model.wrinkles + model.principal_lines:
-        ij = jitter.intensity_jitter
-        wobble = wobble_rng.randint(-ij, ij) if ij else 0
-        value = int(_clamp(stroke.intensity + wobble, 0, 255))
+        value = int(_clamp(stroke.intensity + wobble_rng.randint(-ij, ij), 0, 255))
         _stamp_stroke(canvas, stroke, dx, dy, value)
 
-    if jitter.noise_sigma > 0:
-        canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), canvas.shape, jitter.noise_sigma)
+    canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), canvas.shape, jitter.noise_sigma)
 
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
 
@@ -302,11 +287,10 @@ def generate_corpus(
 
     def write_identity(i: int) -> list[ManifestEntry]:
         model = PalmModel.from_seed(identity_seed_for(master_seed, i), width, height, margin)
-        layer = _ridge_layer(model)
         palm_id = f"p{i:03d}"
         entries = []
         for j in range(samples_per_identity):
-            img = _render(model, layer, SampleJitter(sample_seed_for(master_seed, i, j)))
+            img = generate_palm(model, SampleJitter(sample_seed_for(master_seed, i, j)))
             name = f"{palm_id}_s{j:02d}.pgm"
             save_pgm(img, out_dir / name)
             entries.append(ManifestEntry(out_dir / name, palm_id, f"s{j:02d}"))

@@ -217,6 +217,22 @@ class TestFrameRule:
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [
+        ("1 2 3", 1, "expected 'x0 y0 width height', got '1 2 3'"),
+        ("@missing.rect", 2, "missing.rect"),
+    ],
+)
+def test_enroll_checks_a_fixed_roi_before_reading_images(tmp_path, monkeypatch, capsys, spec, code, message):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([ManifestEntry(tmp_path / f"nope{i}.pgm", f"p{i:03d}", "s00") for i in range(2)], "m.tsv")
+    assert main(["enroll", "--manifest", "m.tsv", "--roi", spec, "--out", "db.tsv"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "nope" not in err
+    assert not (tmp_path / "db.tsv").exists()
+
+
 class TestParseErrors:
     """Malformed manifests and template DBs exit 1 with a message that starts with path:line."""
 

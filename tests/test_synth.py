@@ -38,7 +38,7 @@ class TestPalmModel:
     def test_parameters_within_declared_ranges(self):
         for i in range(12):
             model = default_model(i)
-            assert 120 <= model.base_gray <= 200
+            assert 130 <= model.base_gray <= 190
             assert 8 <= len(model.wrinkles) <= 20
             assert len(model.principal_lines) == 3
             for stroke in model.principal_lines:
@@ -54,6 +54,13 @@ class TestPalmModel:
             assert x0 - 6 >= 0 and y0 - 6 >= 0
             assert x1 + 6 <= model.width and y1 + 6 <= model.height
 
+    def test_ridge_is_read_only(self):
+        model = default_model()
+        assert model.ridge.shape == (model.height - 2 * model.margin, model.width - 2 * model.margin)
+        assert not model.ridge.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.ridge[0, 0] = 1.0
+
     def test_frame_too_small_for_margin(self):
         with pytest.raises(ValueError, match="margin"):
             PalmModel.from_seed(1, width=100, height=100, margin=40)
@@ -67,6 +74,13 @@ class TestGeneratePalm:
         b = generate_palm(model, jitter)
         assert (a == b).all()
 
+    def test_rendering_leaves_the_ridge_unchanged(self):
+        model = default_model()
+        before = model.ridge.copy()
+        for j in range(2):
+            generate_palm(model, SampleJitter(sample_seed_for(42, 0, j)))
+        assert model.ridge.tobytes() == before.tobytes()
+
     def test_clean_render_is_lines_on_constant_background(self):
         base = default_model()
         model = PalmModel(
@@ -75,10 +89,9 @@ class TestGeneratePalm:
             height=base.height,
             margin=base.margin,
             base_gray=base.base_gray,
-            ridge_noise_sigma=0.0,
-            ridge_patch_prob=0.0,
             principal_lines=base.principal_lines,
             wrinkles=(),
+            ridge=np.zeros_like(base.ridge),
         )
         img = generate_palm(model, SampleJitter(0, max_translation=0, intensity_jitter=0, noise_sigma=0.0))
         values = set(np.unique(img).tolist())
@@ -201,18 +214,30 @@ class TestCorpus:
         assert len(corpora[0]) == 9
         assert corpora[0] == corpora[1]
 
+    def test_ridge_layer_is_built_once_per_identity(self, tmp_path, monkeypatch):
+        ridge_layer = synth._ridge_layer
+        built = []
+
+        def counting_ridge_layer(*args):
+            built.append(args[0])
+            return ridge_layer(*args)
+
+        monkeypatch.setattr(synth, "_ridge_layer", counting_ridge_layer)
+        generate_corpus(3, 4, 13, tmp_path / "c")
+        assert sorted(built) == sorted(identity_seed_for(13, i) for i in range(3))
+
     def test_render_error_reaches_the_caller(self, tmp_path, monkeypatch):
         failing_seed = sample_seed_for(13, 2, 1)
         error = ValueError("render failed")
-        render = synth._render
+        render = synth.generate_palm
 
-        def failing_render(model, layer, jitter):
+        def failing_render(model, jitter):
             if jitter.sample_seed == failing_seed:
                 raise error
-            return render(model, layer, jitter)
+            return render(model, jitter)
 
         monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(synth, "_render", failing_render)
+        monkeypatch.setattr(synth, "generate_palm", failing_render)
         with pytest.raises(ValueError) as caught:
             generate_corpus(4, 2, 13, tmp_path / "c")
         assert caught.value is error
