@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import edges, matcher, roi, synth
-from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation, same_frame
+from . import edges, image, matcher, roi, synth
+from .evaluate import DEFAULT_SEED, RunConfig, run_evaluation
 from .features import GRID_SHAPES, extract_features, features_from_mask
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
@@ -118,7 +118,7 @@ def _image_features(path, rect_spec, k, edge_threshold):
 
 
 def cmd_enroll(args) -> int:
-    entries = synth.read_manifest(args.manifest)
+    entries = image.read_manifest(args.manifest)
     params = _roi_params(args)
     auto = args.roi == "auto"
     # A literal or @file rect is read before any image, so a bad spec fails first.
@@ -126,7 +126,7 @@ def cmd_enroll(args) -> int:
     masks = (edges.edge_mask(load_pgm(e.path), params.edge_threshold) for e in entries)
     # Each mask waits packed for the frame check and the rect; auto fits the rect to every image's ranges.
     prepared = [(full_rect(m), roi.ranges_from_mask(m, params) if auto else None, edges.pack_mask(m)) for m in masks]
-    frame = same_frame(entries, [f for f, _, _ in prepared])
+    frame = image.same_frame(entries, [f for f, _, _ in prepared])
     if auto:
         rect = roi.common_roi([r for _, r, _ in prepared], params.strip_px)
     else:

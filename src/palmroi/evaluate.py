@@ -4,7 +4,7 @@ For each feature size the harness enrolls the training samples and
 identifies every test sample twice: once over the full frame and once over
 the common ROI fitted on the *training* images only (test images are
 cropped with the training-derived rect, so no test information leaks into
-the ROI). Per-image stages may run on a thread pool; results keep their
+the ROI). Per-image stages may run on ``image.thread_map``, which keeps
 input order, so the report is byte-identical for any worker count.
 """
 
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from . import edges, matcher, roi
 from .features import features_from_mask
-from .image import RoiRect, full_rect, load_pgm
+from .image import ManifestEntry, RoiRect, full_rect, load_pgm, read_manifest, same_frame, thread_map
 from .rng import SplitMix64, mix
 from .roi import RoiParams
-from .synth import ManifestEntry, _thread_map, read_manifest
 
 DEFAULT_SEED = 42
 _SPLIT_TAG = 0x51
@@ -76,14 +75,6 @@ def split_corpus(
     return train, test
 
 
-def same_frame(entries: list[ManifestEntry], frames: list[RoiRect]) -> RoiRect:
-    """The frame rect every entry's image shares; the first entry that differs is named."""
-    for entry, frame in zip(entries, frames):
-        if frame != frames[0]:
-            raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
-    return frames[0]
-
-
 def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationResult:
     entries = read_manifest(manifest_path)
     train, test = split_corpus(entries, cfg.train_frac, cfg.seed)
@@ -98,7 +89,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         ranges = roi.keep_ranges(img, cfg.roi) if entry in in_train else None
         return full_rect(img), ranges, edges.pack_mask(mask)
 
-    prepared = _thread_map(prepare, images, cfg.workers)
+    prepared = thread_map(prepare, images, cfg.workers)
     rect_full = same_frame(images, [frame for frame, _, _ in prepared])
     rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared if ranges is not None], cfg.roi.strip_px)
 
@@ -109,7 +100,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         mask = edges.unpack_mask(packed)
         return [features_from_mask(mask, rect, k) for _, rect, k in modes]
 
-    feats = dict(zip(images, _thread_map(features, [packed for _, _, packed in prepared], cfg.workers)))
+    feats = dict(zip(images, thread_map(features, [packed for _, _, packed in prepared], cfg.workers)))
 
     result = EvaluationResult(rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test))
     for j, (mode, _, k) in enumerate(modes):

@@ -7,14 +7,18 @@ An image is a 2-D ``numpy.uint8`` array indexed ``[row, column]``; width is
 The interchange format is binary PGM (P5) with maxval 255: ASCII header
 ``P5``, whitespace-separated width/height/maxval, one whitespace byte, then
 ``width * height`` raw bytes row-major. Round-trips are byte-exact. The
-manifest and the template DB are ASCII tab-separated records, read by
-``read_records``.
+manifest and template DB are ASCII tab-separated, read by ``read_records``;
+the corpus commands share the manifest, ``same_frame`` and ``thread_map``.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +119,9 @@ def read_records(path, nfields: int):
     """Yield ``(lineno, fields)`` for each record of an ASCII tab-separated file.
 
     Lines end as ``open`` ends them (LF, CRLF or CR) and are ``strip()``-ped;
-    blank lines and ``#`` comments are skipped. A non-ASCII byte or a field
-    count other than ``nfields`` raises ValueError naming ``path:line``.
+    blank lines and ``#`` comments are skipped. A non-ASCII byte, a field
+    count other than ``nfields``, or an empty field or one with surrounding
+    whitespace raises ValueError naming ``path:line``.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -128,11 +133,59 @@ def read_records(path, nfields: int):
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) == nfields:
+            if len(fields) != nfields:
+                error = f"expected {nfields} tab-separated fields"
+            elif all(f and f == f.strip() for f in fields):
                 yield lineno, fields
                 continue
-            error = f"expected {nfields} tab-separated fields"
+            else:  # such a field would not survive being written back and read again
+                bad = next(i for i, f in enumerate(fields, start=1) if not f or f != f.strip())
+                error = f"field {bad} is empty or padded with whitespace"
         raise ValueError(f"{path}:{lineno}: {error}")
+
+
+class ManifestEntry(NamedTuple):
+    path: Path
+    palm_id: str
+    sample_id: str
+
+
+def write_manifest(entries, path) -> None:
+    """Write manifest lines; paths are stored relative to the manifest file."""
+    base = Path(path).resolve().parent
+    with open(path, "w", encoding="ascii") as fh:
+        for entry in entries:
+            rel = os.path.relpath(Path(entry.path).resolve(), base)
+            fh.write(f"{rel}\t{entry.palm_id}\t{entry.sample_id}\n")
+
+
+def read_manifest(path) -> list[ManifestEntry]:
+    """Parse a manifest; relative paths resolve against its directory, a repeated key names its line."""
+    base = Path(path).parent
+    entries = {}
+    for lineno, (rel, palm_id, sample_id) in read_records(path, 3):
+        if (palm_id, sample_id) in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate key {(palm_id, sample_id)}")
+        entries[palm_id, sample_id] = ManifestEntry(base / rel, palm_id, sample_id)  # an absolute rel replaces base
+    if not entries:
+        raise ValueError(f"{path}: empty manifest")
+    return list(entries.values())
+
+
+def same_frame(entries: list[ManifestEntry], frames: list[RoiRect]) -> RoiRect:
+    """The frame rect every entry's image shares; the first entry that differs is named."""
+    for entry, frame in zip(entries, frames):
+        if frame != frames[0]:
+            raise ValueError(f"{entry.path}: dimensions differ from the rest of the corpus")
+    return frames[0]
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on up to workers threads; results keep the order of items."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def save_pgm(img: np.ndarray, path) -> None:

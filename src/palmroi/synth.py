@@ -11,21 +11,19 @@ All randomness flows through the SplitMix64 streams in :mod:`palmroi.rng`;
 the same (master seed, identity, sample) always yields byte-identical
 images, which the corpus tests pin with golden hashes. Strokes are
 quadratic curves rasterized by thickness stamping without anti-aliasing so
-rendering stays integer-exact.
+rendering stays integer-exact; manifests belong to :mod:`palmroi.image`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .image import read_records, save_pgm
+from .image import ManifestEntry, save_pgm, thread_map, write_manifest
 from .rng import SplitMix64, mix, normal_field, stream_floats
 
 DEFAULT_WIDTH = 384
@@ -250,12 +248,6 @@ def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
 
 
-class ManifestEntry(NamedTuple):
-    path: Path
-    palm_id: str
-    sample_id: str
-
-
 def identity_seed_for(master_seed: int, identity: int) -> int:
     return mix(master_seed, _TAG_IDENTITY, identity)
 
@@ -297,19 +289,11 @@ def generate_corpus(
         return entries
 
     # Every identity has its own streams, so the files do not depend on which thread writes them.
-    per_identity = _thread_map(write_identity, range(identities), min(_cpu_count(), identities))
+    per_identity = thread_map(write_identity, range(identities), min(_cpu_count(), identities))
     entries = [e for identity in per_identity for e in identity]
     manifest = out_dir / "manifest.tsv"
     write_manifest(entries, manifest)
     return manifest, entries
-
-
-def _thread_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on up to workers threads; results keep the order of items."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cpu_count() -> int:
@@ -319,23 +303,3 @@ def _cpu_count() -> int:
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
 
-
-def write_manifest(entries, path) -> None:
-    """Write manifest lines; paths are stored relative to the manifest file."""
-    base = Path(path).resolve().parent
-    with open(path, "w", encoding="ascii") as fh:
-        for entry in entries:
-            rel = os.path.relpath(Path(entry.path).resolve(), base)
-            fh.write(f"{rel}\t{entry.palm_id}\t{entry.sample_id}\n")
-
-
-def read_manifest(path) -> list[ManifestEntry]:
-    """Parse a manifest; relative paths resolve against the manifest's directory."""
-    base = Path(path).parent
-    entries = []
-    for _, (rel, palm_id, sample_id) in read_records(path, 3):
-        p = Path(rel)
-        entries.append(ManifestEntry(p if p.is_absolute() else base / p, palm_id, sample_id))
-    if not entries:
-        raise ValueError(f"{path}: empty manifest")
-    return entries

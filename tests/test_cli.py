@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from palmroi.cli import main
-from palmroi.image import load_pgm, save_pgm
+from palmroi.image import ManifestEntry, load_pgm, read_manifest, save_pgm, write_manifest
 from palmroi.matcher import enroll, load_db, save_db
-from palmroi.synth import ManifestEntry, generate_corpus, write_manifest
+from palmroi.synth import generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +251,8 @@ class TestParseErrors:
             (b"p1\ts0\t2\t0.500000,,1.000000", "malformed feature vector"),
             (b"p1\ts0\t2\tnan,nan", "malformed feature vector: 'nan,nan'"),
             (b"p1\ts0\t2\t0.500000,-inf", "malformed feature vector"),
+            (b"p1\t\t2\t0.500000,1.000000", "field 2 is empty or padded with whitespace"),
+            (b"p1\t s0\t2\t0.500000,1.000000", "field 2 is empty or padded with whitespace"),
         ],
     )
     def test_bad_db_line(self, corpus_dir, tmp_path, capsys, row, message):
@@ -259,6 +261,39 @@ class TestParseErrors:
         rc = main(["identify", "--db", str(db), "--image", str(corpus_dir / "p000_s00.pgm")])
         assert rc == 1
         assert f"palmroi: error: {db}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate"])
+    @pytest.mark.parametrize("record", ["p001_s00.pgm\t\ts00", "p001_s00.pgm\t p001\ts00"])
+    def test_empty_or_padded_manifest_field(self, corpus_dir, tmp_path, capsys, command, record):
+        # enroll would save such a field as written, in a DB line that reads back differently
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{corpus_dir / 'p000_s00.pgm'}\tp000\ts00\n{corpus_dir}/{record}\n")
+        db = tmp_path / "db.tsv"
+        assert main([command, "--manifest", str(manifest), "--out", str(db)]) == 1
+        assert f"palmroi: error: {manifest}:2: field 2 is empty or padded with whitespace" in capsys.readouterr().err
+        assert not db.exists()
+
+
+class TestManifestKeys:
+    """A repeated (palm_id, sample_id) is exit 1 naming the line that repeats it, before any image is read."""
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate"])
+    def test_a_relabelled_image_names_its_line(self, corpus_dir, tmp_path, capsys, command):
+        manifest = tmp_path / "m.tsv"
+        relabelled = ManifestEntry(corpus_dir / "p001_s02.pgm", "p000", "s00")
+        write_manifest(read_manifest(corpus_dir / "manifest.tsv") + [relabelled], manifest)
+        db = tmp_path / "db.tsv"
+        assert main([command, "--manifest", str(manifest), "--out", str(db)]) == 1
+        assert capsys.readouterr().err == f"palmroi: error: {manifest}:13: duplicate key ('p000', 's00')\n"
+        assert not db.exists()
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate"])
+    def test_no_image_is_read_first(self, tmp_path, capsys, command):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("nope0.pgm\tp0\ts0\nnope1.pgm\tp1\ts0\nnope2.pgm\tp0\ts0\n")
+        assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "db.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: duplicate key ('p0', 's0')" in err and "No such file" not in err
 
 
 class TestDbConsistency:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import palmroi
 from palmroi.evaluate import RunConfig, run_evaluation, split_corpus
-from palmroi.synth import ManifestEntry, generate_corpus
+from palmroi.image import ManifestEntry
+from palmroi.synth import generate_corpus
 
 
 def entry(palm, sample):
@@ -98,3 +105,10 @@ class TestRunEvaluation:
         cfg = RunConfig(k_values=(4,), train_frac=0.5)
         run_evaluation(small_manifest, cfg)
         assert len(seen) == 6  # 3 identities x 2 training samples, no test images
+
+
+def test_importing_evaluate_leaves_the_generator_unloaded():
+    code = "import sys, palmroi.evaluate; print('palmroi.synth' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(palmroi.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from palmroi.image import (
+    ManifestEntry,
     PgmFormatError,
     RoiRect,
     crop,
@@ -13,8 +16,11 @@ from palmroi.image import (
     histogram_peak,
     load_pgm,
     modality,
+    read_manifest,
     save_pgm,
+    write_manifest,
 )
+from palmroi.synth import generate_corpus
 
 
 class TestPgm:
@@ -247,3 +253,70 @@ class TestRoiRect:
             RoiRect(0, 0, 0, 5)
         with pytest.raises(ValueError):
             RoiRect(-1, 0, 5, 5)
+
+
+_names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=6)
+
+
+class TestManifestFile:
+    def test_manifest_round_trip(self, tmp_path):
+        _, entries = generate_corpus(2, 2, 3, tmp_path / "c")
+        out = tmp_path / "other"
+        out.mkdir()
+        write_manifest(entries, out / "m.tsv")
+        again = read_manifest(out / "m.tsv")
+        assert [e.path.resolve() for e in again] == [e.path.resolve() for e in entries]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_names, _names, _names), min_size=1, max_size=6, unique_by=lambda row: row[1:]),
+        fillers=st.lists(st.lists(st.sampled_from(["", "#", "# comment"]), max_size=2), min_size=6, max_size=6),
+        eol=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_round_trip_with_comments_blanks_and_line_ends(self, tmp_path_factory, rows, fillers, eol):
+        out = tmp_path_factory.mktemp("manifest")
+        entries = [ManifestEntry(out / f"{name}.pgm", palm, sample) for name, palm, sample in rows]
+        path = out / "m.tsv"
+        write_manifest(entries, path)
+        lines = []
+        for filler, record in zip(fillers, path.read_text().splitlines()):
+            lines += filler + [record]
+        path.write_bytes((eol.join(lines) + eol).encode("ascii"))
+        again = read_manifest(path)
+        assert [(e.path.resolve(), e.palm_id, e.sample_id) for e in again] == [
+            (e.path.resolve(), e.palm_id, e.sample_id) for e in entries
+        ]
+
+    def test_surrounding_whitespace_is_stripped(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("  a.pgm\tp0\ts0 \t\n \t \n\t# indented comment\n")
+        (entry,) = read_manifest(path)
+        assert (entry.path, entry.palm_id, entry.sample_id) == (tmp_path / "a.pgm", "p0", "s0")
+
+    def test_wrong_field_count_names_path_and_line(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("# header\na.pgm\tp0\ts0\nb.pgm\tp0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 3 tab-separated fields$"):
+            read_manifest(path)
+
+    def test_comment_only_manifest_is_empty(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("# nothing here\n\n")
+        with pytest.raises(ValueError, match="empty manifest"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [("a.pgm\t\ts0", 2), ("a.pgm\t p0\ts0", 2), ("a.pgm\tp0 \ts0", 2), ("a.pgm\tp0\t\vs0", 3)],
+    )
+    def test_empty_or_padded_field_names_path_and_line(self, tmp_path, record, field):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"b.pgm\tp1\ts0\n{record}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: field {field} is empty or padded with whitespace$"):
+            read_manifest(path)
+
+    def test_repeated_key_names_the_line_that_repeats_it(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("a.pgm\tp0\ts0\nb.pgm\tp0\ts1\n# c\nc.pgm\tp0\ts0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: duplicate key \\('p0', 's0'\\)$"):
+            read_manifest(path)

@@ -7,6 +7,7 @@ import pytest
 
 from palmroi import cli, synth
 from palmroi.evaluate import RunConfig, run_evaluation
+from palmroi.image import write_manifest
 from palmroi.rng import normal_field
 
 MASK_BYTES = synth.DEFAULT_WIDTH * synth.DEFAULT_HEIGHT  # one unpacked bool edge mask
@@ -18,7 +19,7 @@ def manifests(tmp_path_factory):
     out = tmp_path_factory.mktemp("memory")
     manifest, entries = synth.generate_corpus(2, 8, 5, out)
     half = out / "half.tsv"
-    synth.write_manifest([e for e in entries if int(e.sample_id[1:]) < 4], half)
+    write_manifest([e for e in entries if int(e.sample_id[1:]) < 4], half)
     return half, manifest
 
 

@@ -1,26 +1,20 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from palmroi import cli, roi, synth
 from palmroi.edges import edge_mask
-from palmroi.image import load_pgm
+from palmroi.image import load_pgm, read_manifest
 from palmroi.synth import (
-    ManifestEntry,
     PalmModel,
     SampleJitter,
     generate_corpus,
     generate_palm,
     identity_seed_for,
-    read_manifest,
     sample_seed_for,
     sample_translation,
-    write_manifest,
 )
 
 # Frozen digests of the default corpus (10 identities x 12 samples, seed 42).
@@ -193,14 +187,6 @@ class TestCorpus:
             assert load_pgm(e.path).shape == (284, 384)
         assert "relcorpus" not in manifest.read_text()
 
-    def test_manifest_round_trip(self, tmp_path):
-        _, entries = generate_corpus(2, 2, 3, tmp_path / "c")
-        out = tmp_path / "other"
-        out.mkdir()
-        write_manifest(entries, out / "m.tsv")
-        again = read_manifest(out / "m.tsv")
-        assert [e.path.resolve() for e in again] == [e.path.resolve() for e in entries]
-
     def test_bad_counts(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(0, 5, 1, tmp_path / "c")
@@ -243,49 +229,6 @@ class TestCorpus:
         assert caught.value is error
         argv = ["gen-dataset", "--identities", "4", "--samples", "2", "--seed", "13", "--out", str(tmp_path / "d")]
         assert cli.main(argv) == 1
-
-
-_names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=6)
-
-
-class TestManifestFile:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(_names, _names, _names), min_size=1, max_size=6),
-        fillers=st.lists(st.lists(st.sampled_from(["", "#", "# comment"]), max_size=2), min_size=6, max_size=6),
-        eol=st.sampled_from(["\n", "\r\n"]),
-    )
-    def test_round_trip_with_comments_blanks_and_line_ends(self, tmp_path_factory, rows, fillers, eol):
-        out = tmp_path_factory.mktemp("manifest")
-        entries = [ManifestEntry(out / f"{name}.pgm", palm, sample) for name, palm, sample in rows]
-        path = out / "m.tsv"
-        write_manifest(entries, path)
-        lines = []
-        for filler, record in zip(fillers, path.read_text().splitlines()):
-            lines += filler + [record]
-        path.write_bytes((eol.join(lines) + eol).encode("ascii"))
-        again = read_manifest(path)
-        assert [(e.path.resolve(), e.palm_id, e.sample_id) for e in again] == [
-            (e.path.resolve(), e.palm_id, e.sample_id) for e in entries
-        ]
-
-    def test_surrounding_whitespace_is_stripped(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("  a.pgm\tp0\ts0 \t\n \t \n\t# indented comment\n")
-        (entry,) = read_manifest(path)
-        assert (entry.path, entry.palm_id, entry.sample_id) == (tmp_path / "a.pgm", "p0", "s0")
-
-    def test_wrong_field_count_names_path_and_line(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("# header\na.pgm\tp0\ts0\nb.pgm\tp0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 3 tab-separated fields$"):
-            read_manifest(path)
-
-    def test_comment_only_manifest_is_empty(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("# nothing here\n\n")
-        with pytest.raises(ValueError, match="empty manifest"):
-            read_manifest(path)
 
 
 class TestRoiInvariantsOnCorpus:
