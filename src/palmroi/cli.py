@@ -36,42 +36,42 @@ def _roi_params(args) -> roi.RoiParams:
     return roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
 
 
+def _is_decimal(text: str) -> bool:
+    """True for ASCII digits only: int() also takes a sign, '_' and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _k_values(text: str) -> tuple[int, ...]:
     """argparse type of ``evaluate --k``: comma-separated keys of GRID_SHAPES."""
-    try:
-        ks = {int(part) for part in text.split(",")}
+    parts = text.split(",")
+    if all(map(_is_decimal, parts)):
+        ks = {int(p) for p in parts}
         if ks <= GRID_SHAPES.keys():
             return tuple(sorted(ks))
-    except ValueError:
-        pass
     raise argparse.ArgumentTypeError(f"expected comma-separated sizes from {sorted(GRID_SHAPES)}, got {text!r}")
 
 
 def _workers(text: str) -> int:
     """argparse type of ``evaluate --workers``: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
+    if not _is_decimal(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
 def _parse_rect(text: str) -> RoiRect:
-    try:
-        x0, y0, w, h = (int(p) for p in text.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"expected 'x0 y0 width height', got {text!r}") from None
-    return RoiRect(x0, y0, w, h)
+    parts = text.replace(",", " ").split()
+    if len(parts) != 4 or not all(map(_is_decimal, parts)):
+        raise ValueError(f"expected 'x0 y0 width height', got {text!r}")
+    return RoiRect(*map(int, parts))
 
 
-def _fixed_rect(spec: str) -> RoiRect:
-    """ROI spec that needs no image: '@file' sidecar or 'x0 y0 w h'."""
+def _fixed_rect(spec: str) -> RoiRect | None:
+    """ROI spec read before any image: None for 'full' (the frame), else an '@file' sidecar or 'x0 y0 w h'."""
+    if spec == "full":
+        return None
     if spec.startswith("@"):
         return _parse_rect(Path(spec[1:]).read_text())
     return _parse_rect(spec)
-
-
-def _resolve_rect(spec: str, frame: RoiRect) -> RoiRect:
-    """ROI spec: 'full' (the frame), '@file' sidecar, or 'x0 y0 w h'."""
-    return frame if spec == "full" else _fixed_rect(spec)
 
 
 def _rect_line(rect: RoiRect) -> str:
@@ -112,9 +112,12 @@ def cmd_histcmp(args) -> int:
     return 0
 
 
-def _image_features(path, rect_spec, k, edge_threshold):
-    img = load_pgm(path)
-    return extract_features(img, _resolve_rect(rect_spec, full_rect(img)), k, edge_threshold)
+def _probe(args):
+    """(DB, features of the probe image); a bad ``--roi`` spec fails before the DB or the image is read."""
+    rect = _fixed_rect(args.roi)
+    db = matcher.load_db(args.db)
+    img = load_pgm(args.image)
+    return db, extract_features(img, full_rect(img) if rect is None else rect, db.k, args.edge_threshold)
 
 
 def cmd_enroll(args) -> int:
@@ -122,7 +125,7 @@ def cmd_enroll(args) -> int:
     params = _roi_params(args)
     auto = args.roi == "auto"
     # A literal or @file rect is read before any image, so a bad spec fails first.
-    fixed = None if auto or args.roi == "full" else _fixed_rect(args.roi)
+    fixed = None if auto else _fixed_rect(args.roi)
     masks = (edges.edge_mask(load_pgm(e.path), params.edge_threshold) for e in entries)
     # Each mask waits packed for the frame check and the rect; auto fits the rect to every image's ranges.
     prepared = [(full_rect(m), roi.ranges_from_mask(m, params) if auto else None, edges.pack_mask(m)) for m in masks]
@@ -143,16 +146,14 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    db = matcher.load_db(args.db)
-    feats = _image_features(args.image, args.roi, db.k, args.edge_threshold)
+    db, feats = _probe(args)
     palm_id, dist = matcher.identify(feats, db, args.metric)
     print(f"{palm_id}\t{dist:.6f}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    db = matcher.load_db(args.db)
-    feats = _image_features(args.image, args.roi, db.k, args.edge_threshold)
+    db, feats = _probe(args)
     accepted = matcher.verify(feats, db, args.claim, args.tau, args.metric)
     print("accept" if accepted else "reject")
     return 0

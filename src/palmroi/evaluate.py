@@ -4,7 +4,7 @@ For each feature size the harness enrolls the training samples and
 identifies every test sample twice: once over the full frame and once over
 the common ROI fitted on the *training* images only (test images are
 cropped with the training-derived rect, so no test information leaks into
-the ROI). Per-image stages may run on ``image.thread_map``, which keeps
+the ROI). Per-image stages may run on ``image._thread_map``, which keeps
 input order, so the report is byte-identical for any worker count.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import edges, matcher, roi
 from .features import features_from_mask
-from .image import ManifestEntry, RoiRect, full_rect, load_pgm, read_manifest, same_frame, thread_map
+from .image import ManifestEntry, RoiRect, _thread_map, full_rect, load_pgm, read_manifest, same_frame
 from .rng import SplitMix64, mix
 from .roi import RoiParams
 
@@ -89,7 +89,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         ranges = roi.keep_ranges(img, cfg.roi) if entry in in_train else None
         return full_rect(img), ranges, edges.pack_mask(mask)
 
-    prepared = thread_map(prepare, images, cfg.workers)
+    prepared = _thread_map(prepare, images, cfg.workers)
     rect_full = same_frame(images, [frame for frame, _, _ in prepared])
     rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared if ranges is not None], cfg.roi.strip_px)
 
@@ -100,7 +100,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
         mask = edges.unpack_mask(packed)
         return [features_from_mask(mask, rect, k) for _, rect, k in modes]
 
-    feats = dict(zip(images, thread_map(features, [packed for _, _, packed in prepared], cfg.workers)))
+    feats = dict(zip(images, _thread_map(features, [packed for _, _, packed in prepared], cfg.workers)))
 
     result = EvaluationResult(rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test))
     for j, (mode, _, k) in enumerate(modes):

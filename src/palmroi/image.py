@@ -8,7 +8,7 @@ The interchange format is binary PGM (P5) with maxval 255: ASCII header
 ``P5``, whitespace-separated width/height/maxval, one whitespace byte, then
 ``width * height`` raw bytes row-major. Round-trips are byte-exact. The
 manifest and template DB are ASCII tab-separated, read by ``read_records``;
-the corpus commands share the manifest, ``same_frame`` and ``thread_map``.
+the corpus commands share the manifest, ``same_frame`` and ``_thread_map``.
 """
 
 from __future__ import annotations
@@ -98,10 +98,9 @@ def load_pgm(path) -> np.ndarray:
     m = _PGM_HEADER.match(data)
     if m is None:
         raise PgmFormatError(f"{path}: malformed header (truncated before pixel data)")
-    try:
-        width, height, maxval = map(int, m.groups())
-    except ValueError as exc:
-        raise PgmFormatError(f"{path}: malformed header ({exc})") from None
+    if not all(f.isdigit() for f in m.groups()):  # bytes.isdigit is ASCII 0-9 only; int() also takes a sign or '_'
+        raise PgmFormatError(f"{path}: malformed header (width, height and maxval must be decimal digits)")
+    width, height, maxval = map(int, m.groups())
     if width <= 0 or height <= 0:
         raise PgmFormatError(f"{path}: malformed header (non-positive dimensions)")
     if maxval != 255:
@@ -180,7 +179,7 @@ def same_frame(entries: list[ManifestEntry], frames: list[RoiRect]) -> RoiRect:
     return frames[0]
 
 
-def thread_map(fn, items, workers: int) -> list:
+def _thread_map(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on up to workers threads; results keep the order of items."""
     if workers <= 1:
         return [fn(item) for item in items]

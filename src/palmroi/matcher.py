@@ -155,10 +155,9 @@ def load_db(path) -> TemplateDB:
     def samples():
         nonlocal lineno
         for lineno, (palm_id, sample_id, k_text, values_text) in records:
-            try:
-                k = int(k_text)
-            except ValueError:
-                raise ValueError(f"k must be an integer, got {k_text!r}") from None
+            if not k_text.isdigit():  # the record layer lets only ASCII through; int() would also take '+' and '_'
+                raise ValueError(f"k must be an integer, got {k_text!r}")
+            k = int(k_text)
             values = _parse_features(values_text)
             if k != values.size:
                 raise ValueError(f"declared k={k_text} but {values.size} values")

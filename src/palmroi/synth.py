@@ -3,9 +3,10 @@
 Each identity is a :class:`PalmModel`: a base gray tone, three thick dark
 principal lines, a set of thinner wrinkles, and a patchy fine-ridge noise
 field confined to the frame minus a low-texture margin. Each sample renders
-that model with per-sample jitter (small translation, per-stroke intensity
-wobble, additive sensor noise), so samples of one identity share structure
-while differing pixel-wise.
+that model from a sample seed, which draws a translation of up to
+``MAX_TRANSLATION`` px, a per-stroke wobble of up to ``INTENSITY_JITTER``
+gray levels and sensor noise of stddev ``NOISE_SIGMA``, so samples of one
+identity share structure while differing pixel-wise.
 
 All randomness flows through the SplitMix64 streams in :mod:`palmroi.rng`;
 the same (master seed, identity, sample) always yields byte-identical
@@ -23,12 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import ManifestEntry, save_pgm, thread_map, write_manifest
+from .image import ManifestEntry, _thread_map, save_pgm, write_manifest
 from .rng import SplitMix64, mix, normal_field, stream_floats
 
 DEFAULT_WIDTH = 384
 DEFAULT_HEIGHT = 284
 DEFAULT_MARGIN = 30
+
+# per-sample variation: content shift per axis (px), stroke wobble (gray levels), sensor noise stddev
+MAX_TRANSLATION = 6
+INTENSITY_JITTER = 10
+NOISE_SIGMA = 3.0
 
 # stream tags keep per-purpose substreams independent
 _TAG_MODEL = 0x01
@@ -58,7 +64,6 @@ class Stroke:
 class PalmModel:
     """Identity-level description of one synthetic palm."""
 
-    identity_seed: int
     width: int
     height: int
     margin: int
@@ -126,7 +131,6 @@ class PalmModel:
             )
 
         return cls(
-            identity_seed=identity_seed,
             width=width,
             height=height,
             margin=margin,
@@ -137,39 +141,24 @@ class PalmModel:
         )
 
 
-@dataclass(frozen=True)
-class SampleJitter:
-    """Per-sample variation: translation, stroke intensity wobble, sensor noise."""
-
-    sample_seed: int
-    max_translation: int = 6
-    intensity_jitter: int = 10
-    noise_sigma: float = 3.0
-
-    def __post_init__(self):
-        if self.max_translation < 0 or self.intensity_jitter < 0 or self.noise_sigma < 0:
-            raise ValueError("jitter magnitudes must be non-negative")
-
-
-def _check_frame(width: int, height: int, margin: int, max_translation: int = 0) -> None:
+def _check_frame(width: int, height: int, margin: int) -> None:
     """Reject a frame too small for its margin, or a margin a sample's translation could cross."""
     if width < 100 or height < 100:
         raise ValueError(f"frame must be at least 100x100, got {width}x{height}")
     if width - 2 * margin < 40 or height - 2 * margin < 40:
         raise ValueError(f"frame {width}x{height} too small for margin {margin}")
-    if max_translation > margin:
-        raise ValueError(f"margin {margin} is smaller than the max translation {max_translation}")
+    if MAX_TRANSLATION > margin:
+        raise ValueError(f"margin {margin} is smaller than the max translation {MAX_TRANSLATION}")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def sample_translation(jitter: SampleJitter) -> tuple[int, int]:
-    """(dx, dy) content shift applied when rendering with this jitter."""
-    rng = SplitMix64(mix(jitter.sample_seed, _TAG_SHIFT))
-    mt = jitter.max_translation
-    return rng.randint(-mt, mt), rng.randint(-mt, mt)
+def sample_translation(sample_seed: int) -> tuple[int, int]:
+    """(dx, dy) content shift applied when rendering this sample."""
+    rng = SplitMix64(mix(sample_seed, _TAG_SHIFT))
+    return rng.randint(-MAX_TRANSLATION, MAX_TRANSLATION), rng.randint(-MAX_TRANSLATION, MAX_TRANSLATION)
 
 
 def _disc_offsets(thickness: int) -> np.ndarray:
@@ -219,18 +208,19 @@ def _ridge_layer(identity_seed: int, iw: int, ih: int, sigma: float, patch_prob:
     return ridge
 
 
-def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
+def generate_palm(model: PalmModel, sample_seed: int) -> np.ndarray:
     """Render one sample of the model as a uint8 image.
 
     Rendering order: base gray, ridge noise over the active content blocks,
     wrinkles, then principal lines on top; additive sensor noise last. The
-    margin ring carries only base gray plus the sensor noise. Deterministic
-    in (model, jitter). The jitter's translation may not exceed the
-    model's margin, which keeps the content box inside the frame.
+    content moves by ``sample_translation`` (up to ``MAX_TRANSLATION`` px,
+    which ``from_seed`` keeps within the margin), each stroke's gray level
+    by up to ``INTENSITY_JITTER``, and the noise has stddev ``NOISE_SIGMA``.
+    The margin ring carries only base gray plus the sensor noise.
+    Deterministic in (model, sample_seed).
     """
-    _check_frame(model.width, model.height, model.margin, jitter.max_translation)
-    dx, dy = sample_translation(jitter)
-    wobble_rng = SplitMix64(mix(jitter.sample_seed, _TAG_WOBBLE))
+    dx, dy = sample_translation(sample_seed)
+    wobble_rng = SplitMix64(mix(sample_seed, _TAG_WOBBLE))
 
     canvas = np.full((model.height, model.width), float(model.base_gray), dtype=np.float64)
 
@@ -238,12 +228,11 @@ def generate_palm(model: PalmModel, jitter: SampleJitter) -> np.ndarray:
     ih, iw = model.ridge.shape
     canvas[y0 : y0 + ih, x0 : x0 + iw] += model.ridge
 
-    ij = jitter.intensity_jitter
     for stroke in model.wrinkles + model.principal_lines:
-        value = int(_clamp(stroke.intensity + wobble_rng.randint(-ij, ij), 0, 255))
-        _stamp_stroke(canvas, stroke, dx, dy, value)
+        wobble = wobble_rng.randint(-INTENSITY_JITTER, INTENSITY_JITTER)
+        _stamp_stroke(canvas, stroke, dx, dy, int(_clamp(stroke.intensity + wobble, 0, 255)))
 
-    canvas += normal_field(mix(jitter.sample_seed, _TAG_NOISE), canvas.shape, jitter.noise_sigma)
+    canvas += normal_field(mix(sample_seed, _TAG_NOISE), canvas.shape, NOISE_SIGMA)
 
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
 
@@ -273,7 +262,7 @@ def generate_corpus(
     """
     if identities < 1 or samples_per_identity < 1:
         raise ValueError("identities and samples_per_identity must be >= 1")
-    _check_frame(width, height, margin, SampleJitter.max_translation)
+    _check_frame(width, height, margin)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -282,14 +271,14 @@ def generate_corpus(
         palm_id = f"p{i:03d}"
         entries = []
         for j in range(samples_per_identity):
-            img = generate_palm(model, SampleJitter(sample_seed_for(master_seed, i, j)))
+            img = generate_palm(model, sample_seed_for(master_seed, i, j))
             name = f"{palm_id}_s{j:02d}.pgm"
             save_pgm(img, out_dir / name)
             entries.append(ManifestEntry(out_dir / name, palm_id, f"s{j:02d}"))
         return entries
 
     # Every identity has its own streams, so the files do not depend on which thread writes them.
-    per_identity = thread_map(write_identity, range(identities), min(_cpu_count(), identities))
+    per_identity = _thread_map(write_identity, range(identities), min(_cpu_count(), identities))
     entries = [e for identity in per_identity for e in identity]
     manifest = out_dir / "manifest.tsv"
     write_manifest(entries, manifest)

@@ -44,7 +44,6 @@ class TestExtractRoi:
     def test_synthetic_palm_sidecar_contains_lines(self, corpus_dir, tmp_path, capsys):
         from palmroi.synth import (
             PalmModel,
-            SampleJitter,
             identity_seed_for,
             sample_seed_for,
             sample_translation,
@@ -55,7 +54,7 @@ class TestExtractRoi:
         assert main(["extract-roi", str(src), "--out", str(out)]) == 0
         x0, y0, w, h = (int(v) for v in capsys.readouterr().out.split())
         model = PalmModel.from_seed(identity_seed_for(5, 0))
-        dx, dy = sample_translation(SampleJitter(sample_seed_for(5, 0, 0)))
+        dx, dy = sample_translation(sample_seed_for(5, 0, 0))
         bx0, by0, bx1, by1 = oracles.stroke_bounding_box(model.principal_lines, dx, dy)
         assert x0 <= bx0 and y0 <= by0 and bx1 <= x0 + w and by1 <= y0 + h
 
@@ -181,7 +180,7 @@ class TestEnrollIdentifyVerify:
         assert rc == 1
         assert "not enrolled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["auto", "1 2 3", "1 2 3 x"])
+    @pytest.mark.parametrize("spec", ["auto", "1 2 3", "1 2 3 x", "1_0 2 3 4", "+1 2 3 4"])
     def test_identify_rejects_per_image_auto_like_a_malformed_rect(self, corpus_dir, enrolled, capsys, spec):
         db_path, _ = enrolled
         rc = main(["identify", "--db", str(db_path), "--image", str(corpus_dir / "p000_s00.pgm"), "--roi", spec])
@@ -225,11 +224,18 @@ class TestFrameRule:
     ],
 )
 def test_enroll_checks_a_fixed_roi_before_reading_images(tmp_path, monkeypatch, capsys, spec, code, message):
+    # identify and verify also read the spec before the DB and the image
     monkeypatch.chdir(tmp_path)
     write_manifest([ManifestEntry(tmp_path / f"nope{i}.pgm", f"p{i:03d}", "s00") for i in range(2)], "m.tsv")
-    assert main(["enroll", "--manifest", "m.tsv", "--roi", spec, "--out", "db.tsv"]) == code
-    err = capsys.readouterr().err
-    assert message in err and "nope" not in err
+    probe = ["--db", "nope.tsv", "--image", "nope0.pgm"]
+    for argv in (
+        ["enroll", "--manifest", "m.tsv", "--out", "db.tsv"],
+        ["identify", *probe],
+        ["verify", *probe, "--claim", "p000", "--tau", "0.5"],
+    ):
+        assert main([*argv, "--roi", spec]) == code
+        err = capsys.readouterr().err
+        assert message in err and "nope" not in err
     assert not (tmp_path / "db.tsv").exists()
 
 
@@ -248,6 +254,8 @@ class TestParseErrors:
         [
             (b"p1\ts0\t2\t0.5,caf\xc3\xa9", "non-ASCII byte 0xc3"),
             (b"p1\ts0\ttwo\t0.500000,1.000000", "k must be an integer, got 'two'"),
+            (b"p1\ts0\t+2\t0.500000,1.000000", "k must be an integer, got '+2'"),
+            (b"p1\ts0\t0_2\t0.500000,1.000000", "k must be an integer, got '0_2'"),
             (b"p1\ts0\t2\t0.500000,,1.000000", "malformed feature vector"),
             (b"p1\ts0\t2\tnan,nan", "malformed feature vector: 'nan,nan'"),
             (b"p1\ts0\t2\t0.500000,-inf", "malformed feature vector"),
@@ -350,7 +358,7 @@ class TestEvaluate:
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["5", "x", "4,,8"])
+    @pytest.mark.parametrize("k", ["5", "x", "4,,8", "1_6", "+4", "\u0664"])
     def test_bad_k_is_a_usage_error(self, corpus_dir, capsys, k):
         # rejected by argparse, before the manifest or any image is read
         with pytest.raises(SystemExit) as exc:
@@ -382,7 +390,7 @@ class TestNumericFlags:
         assert rc == 1
         assert "tau must be >= 0, got -1.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "x"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "x", "\u0662"])
     def test_workers_below_1_is_a_usage_error(self, corpus_dir, capsys, workers):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"), "--workers", workers])

@@ -78,6 +78,14 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="malformed"):
             load_pgm(p)
 
+    @pytest.mark.parametrize("fields", [b"3_84 284 255", b"+384 284 255", b"384 284 2_55"])
+    def test_header_numbers_are_ascii_digits(self, tmp_path, fields):
+        # int() would read each of these as 384, 284 and 255
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n" + fields + b"\n" + bytes(384 * 284))
+        with pytest.raises(PgmFormatError, match="decimal digits"):
+            load_pgm(p)
+
     def test_header_comments_accepted(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n# made by hand\n1 1\n255\n\x07")

@@ -9,7 +9,6 @@ from palmroi.edges import edge_mask
 from palmroi.image import load_pgm, read_manifest
 from palmroi.synth import (
     PalmModel,
-    SampleJitter,
     generate_corpus,
     generate_palm,
     identity_seed_for,
@@ -58,27 +57,31 @@ class TestPalmModel:
     def test_frame_too_small_for_margin(self):
         with pytest.raises(ValueError, match="margin"):
             PalmModel.from_seed(1, width=100, height=100, margin=40)
+        # a translation of MAX_TRANSLATION could carry the content box out of a narrower margin
+        with pytest.raises(ValueError, match="margin 5 is smaller than the max translation 6"):
+            PalmModel.from_seed(1, margin=5)
 
 
 class TestGeneratePalm:
     def test_deterministic(self):
         model = default_model()
-        jitter = SampleJitter(sample_seed_for(42, 0, 0))
-        a = generate_palm(model, jitter)
-        b = generate_palm(model, jitter)
+        seed = sample_seed_for(42, 0, 0)
+        a = generate_palm(model, seed)
+        b = generate_palm(model, seed)
         assert (a == b).all()
 
     def test_rendering_leaves_the_ridge_unchanged(self):
         model = default_model()
         before = model.ridge.copy()
         for j in range(2):
-            generate_palm(model, SampleJitter(sample_seed_for(42, 0, j)))
+            generate_palm(model, sample_seed_for(42, 0, j))
         assert model.ridge.tobytes() == before.tobytes()
 
-    def test_clean_render_is_lines_on_constant_background(self):
+    def test_clean_render_is_lines_on_constant_background(self, monkeypatch):
+        for name in ("MAX_TRANSLATION", "INTENSITY_JITTER", "NOISE_SIGMA"):
+            monkeypatch.setattr(synth, name, 0)
         base = default_model()
         model = PalmModel(
-            identity_seed=base.identity_seed,
             width=base.width,
             height=base.height,
             margin=base.margin,
@@ -87,7 +90,7 @@ class TestGeneratePalm:
             wrinkles=(),
             ridge=np.zeros_like(base.ridge),
         )
-        img = generate_palm(model, SampleJitter(0, max_translation=0, intensity_jitter=0, noise_sigma=0.0))
+        img = generate_palm(model, 0)
         values = set(np.unique(img).tolist())
         expected = {model.base_gray} | {s.intensity for s in model.principal_lines}
         assert values == expected
@@ -99,9 +102,8 @@ class TestGeneratePalm:
 
     def test_margins_carry_only_base_and_noise(self):
         model = default_model(3)
-        jitter = SampleJitter(sample_seed_for(42, 3, 5))
-        img = generate_palm(model, jitter)
-        guard = model.margin - jitter.max_translation
+        img = generate_palm(model, sample_seed_for(42, 3, 5))
+        guard = model.margin - synth.MAX_TRANSLATION
         border = np.concatenate(
             [
                 img[:guard, :].ravel(),
@@ -111,7 +113,7 @@ class TestGeneratePalm:
             ]
         ).astype(np.float64)
         assert abs(border.mean() - model.base_gray) < 1.0
-        assert border.std() < 2 * jitter.noise_sigma
+        assert border.std() < 2 * synth.NOISE_SIGMA
 
     @pytest.mark.parametrize("margin", [0, 5])
     def test_margin_below_max_translation_rejected(self, tmp_path, margin):
@@ -132,7 +134,7 @@ class TestGeneratePalm:
         for i in range(4):
             model = default_model(i)
             for j in range(3):
-                img = generate_palm(model, SampleJitter(sample_seed_for(42, i, j)))
+                img = generate_palm(model, sample_seed_for(42, i, j))
                 feats[(i, j)] = extract_features(img, rect, 16)
         intra, inter = [], []
         keys = sorted(feats)
@@ -165,7 +167,7 @@ class TestCorpus:
         _, entries = generate_corpus(1, 1, 11, tmp_path / "c")
         img = load_pgm(entries[0].path)
         model = PalmModel.from_seed(identity_seed_for(11, 0))
-        direct = generate_palm(model, SampleJitter(sample_seed_for(11, 0, 0)))
+        direct = generate_palm(model, sample_seed_for(11, 0, 0))
         assert (img == direct).all()
 
     def test_default_corpus_golden_hashes(self, default_corpus):
@@ -217,10 +219,10 @@ class TestCorpus:
         error = ValueError("render failed")
         render = synth.generate_palm
 
-        def failing_render(model, jitter):
-            if jitter.sample_seed == failing_seed:
+        def failing_render(model, sample_seed):
+            if sample_seed == failing_seed:
                 raise error
-            return render(model, jitter)
+            return render(model, sample_seed)
 
         monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
         monkeypatch.setattr(synth, "generate_palm", failing_render)
@@ -241,8 +243,7 @@ class TestRoiInvariantsOnCorpus:
             identity = int(e.palm_id[1:])
             sample = int(e.sample_id[1:])
             model = PalmModel.from_seed(identity_seed_for(42, identity))
-            jitter = SampleJitter(sample_seed_for(42, identity, sample))
-            dx, dy = sample_translation(jitter)
+            dx, dy = sample_translation(sample_seed_for(42, identity, sample))
             bx0, by0, bx1, by1 = oracles.stroke_bounding_box(model.principal_lines, dx, dy)
             rect = roi.extract_roi(load_pgm(e.path), params)
             assert rect.x0 <= bx0 and rect.y0 <= by0
