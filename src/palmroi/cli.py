@@ -20,15 +20,22 @@ from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogra
 def _add_edge_flag(parser):
     parser.add_argument(
         "--edge-threshold",
-        type=int,
+        type=_integer,
         default=edges.DEFAULT_EDGE_THRESHOLD,
         help="Sobel L1 magnitude threshold for edge pixels",
     )
 
 
 def _add_roi_flags(parser):
-    parser.add_argument("--strip-px", type=int, default=roi.RoiParams.strip_px, help="strip width in pixels")
+    parser.add_argument("--strip-px", type=_integer, default=roi.RoiParams.strip_px, help="strip width in pixels")
     parser.add_argument("--n", type=float, default=roi.RoiParams.n, help="stddev multiplier in mean - n*stddev")
+    _add_edge_flag(parser)
+
+
+def _add_probe_flags(parser):
+    parser.add_argument("--db", required=True)
+    parser.add_argument("--image", required=True)
+    parser.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
     _add_edge_flag(parser)
 
 
@@ -39,6 +46,13 @@ def _roi_params(args) -> roi.RoiParams:
 def _is_decimal(text: str) -> bool:
     """True for ASCII digits only: int() also takes a sign, '_' and other scripts' digits."""
     return text.isascii() and text.isdigit()
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer flags: ASCII digits after an optional '-'; each layer checks its own range."""
+    if not _is_decimal(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _k_values(text: str) -> tuple[int, ...]:
@@ -147,14 +161,14 @@ def cmd_enroll(args) -> int:
 
 def cmd_identify(args) -> int:
     db, feats = _probe(args)
-    palm_id, dist = matcher.identify(feats, db, args.metric)
+    palm_id, dist = matcher.identify(feats, db)
     print(f"{palm_id}\t{dist:.6f}")
     return 0
 
 
 def cmd_verify(args) -> int:
     db, feats = _probe(args)
-    accepted = matcher.verify(feats, db, args.claim, args.tau, args.metric)
+    accepted = matcher.verify(feats, db, args.claim, args.tau)
     print("accept" if accepted else "reject")
     return 0
 
@@ -163,7 +177,6 @@ def cmd_evaluate(args) -> int:
     cfg = RunConfig(
         roi=_roi_params(args),
         k_values=args.k,
-        metric=args.metric,
         seed=args.seed,
         train_frac=args.train_frac,
         workers=args.workers,
@@ -188,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="generate a synthetic palm corpus")
-    p.add_argument("--identities", type=int, default=10)
-    p.add_argument("--samples", type=int, default=12, help="samples per identity")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--identities", type=_integer, default=10)
+    p.add_argument("--samples", type=_integer, default=12, help="samples per identity")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--width", type=int, default=synth.DEFAULT_WIDTH)
-    p.add_argument("--height", type=int, default=synth.DEFAULT_HEIGHT)
+    p.add_argument("--width", type=_integer, default=synth.DEFAULT_WIDTH)
+    p.add_argument("--height", type=_integer, default=synth.DEFAULT_HEIGHT)
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("extract-roi", help="write the ROI crop plus a rect sidecar")
@@ -205,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histcmp", help="compare histograms of an image and its ROI")
     p.add_argument("original")
     p.add_argument("roi")
-    p.add_argument("--window", type=int, default=9, help="smoothing window for mode counting")
+    p.add_argument("--window", type=_integer, default=9, help="smoothing window for mode counting")
     p.set_defaults(func=cmd_histcmp)
 
     p = sub.add_parser("enroll", help="build a template database from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int, default=16, choices=sorted(GRID_SHAPES))
+    p.add_argument("--k", type=_integer, default=16, choices=sorted(GRID_SHAPES))
     p.add_argument("--out", required=True, help="output template DB file")
     p.add_argument(
         "--roi",
@@ -222,21 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("identify", help="1-NN identification of a probe image")
-    p.add_argument("--db", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
-    p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
-    _add_edge_flag(p)
+    _add_probe_flags(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("verify", help="accept/reject a claimed identity")
-    p.add_argument("--db", required=True)
-    p.add_argument("--image", required=True)
+    _add_probe_flags(p)
     p.add_argument("--claim", required=True, help="claimed palm id")
     p.add_argument("--tau", type=float, required=True, help="acceptance distance threshold")
-    p.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
-    p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
-    _add_edge_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="full-frame vs ROI identification experiment")
@@ -244,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report CSV here as well as stdout")
     p.add_argument("--k", type=_k_values, default="4,8,16", help="comma-separated feature sizes")
     p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--metric", default="euclidean", choices=matcher.METRICS)
     _add_roi_flags(p)
     p.set_defaults(func=cmd_evaluate)
 

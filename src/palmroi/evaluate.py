@@ -26,7 +26,6 @@ _SPLIT_TAG = 0x51
 class RunConfig:
     roi: RoiParams = RoiParams()
     k_values: tuple[int, ...] = (4, 8, 16)
-    metric: str = "euclidean"
     seed: int = DEFAULT_SEED
     train_frac: float = 0.5
     workers: int = 1
@@ -105,7 +104,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
     result = EvaluationResult(rows=[], roi_rect=rect_roi, train_count=len(train), test_count=len(test))
     for j, (mode, _, k) in enumerate(modes):
         db = matcher.enroll((e.palm_id, e.sample_id, feats[e][j]) for e in train)
-        predictions = [(matcher.identify(feats[e][j], db, cfg.metric)[0], e.palm_id) for e in test]
+        predictions = [(matcher.identify(feats[e][j], db)[0], e.palm_id) for e in test]
         report = matcher.accuracy(predictions)
         result.rows.append((mode, k, report.total, report.correct, report.R))
     return result

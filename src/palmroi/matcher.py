@@ -1,22 +1,21 @@
 """Template database, enrollment, 1-NN identification and verification.
 
 A template is a labeled feature vector; identification returns the palm id
-of the nearest enrolled template (ties go to the first enrolled), and
-verification accepts a claimed identity when the distance to that palm's
-nearest template is within a caller-supplied threshold.
+of the Euclidean-nearest enrolled template (ties go to the first enrolled),
+and verification accepts a claimed identity when the Euclidean distance to
+that palm's nearest template is within a caller-supplied threshold.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .image import read_records
-
-METRICS = ("euclidean", "manhattan")
 
 
 @dataclass(frozen=True)
@@ -68,36 +67,33 @@ def enroll(samples: Iterable[tuple[str, str, np.ndarray]]) -> TemplateDB:
     return TemplateDB(k=k if k is not None else 0, templates=tuple(templates))
 
 
-def distance(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> float:
-    """Distance between two equal-length feature vectors (Euclidean by default)."""
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance between two equal-length feature vectors."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    if metric == "euclidean":
-        return math.sqrt(np.add.reduce(d * d))
-    if metric == "manhattan":
-        return float(np.add.reduce(np.abs(d)))
-    raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    return math.sqrt(np.add.reduce(d * d))
 
 
 def identify(f: np.ndarray, db: TemplateDB, metric: str = "euclidean") -> tuple[str, float]:
     """(palm_id, distance) of the nearest template; first enrolled wins ties."""
+    # metric only serves pipebench's checked_identify wrapper, which passes it on; ROADMAP item 1B drops it
+    if metric != "euclidean":
+        raise ValueError(f"unknown metric {metric!r}; distances are Euclidean")
     if len(db) == 0:
         raise ValueError("cannot identify against an empty template database")
     best_i = 0
-    best_d = distance(f, db.templates[0].features, metric)
+    best_d = distance(f, db.templates[0].features)
     for i in range(1, len(db.templates)):
-        d = distance(f, db.templates[i].features, metric)
+        d = distance(f, db.templates[i].features)
         if d < best_d:
             best_i, best_d = i, d
     return db.templates[best_i].palm_id, best_d
 
 
-def verify(
-    f: np.ndarray, db: TemplateDB, claimed: str, tau: float, metric: str = "euclidean"
-) -> bool:
+def verify(f: np.ndarray, db: TemplateDB, claimed: str, tau: float) -> bool:
     """Accept iff the nearest template of the claimed palm is within tau (a number >= 0)."""
     if math.isnan(tau):
         raise ValueError("tau must be a number, got nan")
@@ -106,7 +102,7 @@ def verify(
     candidates = [t for t in db.templates if t.palm_id == claimed]
     if not candidates:
         raise ValueError(f"claimed palm_id {claimed!r} not enrolled")
-    best = min(distance(f, t.features, metric) for t in candidates)
+    best = min(distance(f, t.features) for t in candidates)
     return best <= tau
 
 
@@ -128,13 +124,15 @@ def _format_features(values: np.ndarray) -> str:
     return ",".join(f"{v:.6f}" for v in values)
 
 
+# Each value is -?[0-9]+(\.[0-9]+)?: float() would also take '_', '+', exponents and 'nan'.
+_FEATURE_VECTOR = re.compile(r"-?[0-9]+(\.[0-9]+)?(,-?[0-9]+(\.[0-9]+)?)*")
+
+
 def _parse_features(text: str) -> np.ndarray:
-    try:
+    if _FEATURE_VECTOR.fullmatch(text):
         values = np.array([float(part) for part in text.split(",")], dtype=np.float64)
-        if np.isfinite(values).all():
+        if np.isfinite(values).all():  # a long enough digit string overflows to inf
             return values
-    except ValueError:
-        pass
     raise ValueError(f"malformed feature vector: {text!r}")
 
 

@@ -88,13 +88,11 @@ def nearest_template_linear(query, templates, offset=0.0):
     return best_i, best_d
 
 
-def distance_reference(a, b, metric="euclidean") -> float:
-    """Distance by numpy's whole-array reductions: sqrt of the summed squares, or summed abs."""
+def distance_reference(a, b) -> float:
+    """Euclidean distance by numpy's whole-array reductions: sqrt of the summed squares."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if metric == "euclidean":
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    return float(np.sum(np.abs(a - b)))
+    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def rect_contains(outer, inner) -> bool:

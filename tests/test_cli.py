@@ -4,8 +4,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from palmroi import cli
 from palmroi.cli import main
-from palmroi.image import ManifestEntry, load_pgm, read_manifest, save_pgm, write_manifest
+from palmroi.evaluate import EvaluationResult, RunConfig
+from palmroi.image import ManifestEntry, RoiRect, load_pgm, read_manifest, save_pgm, write_manifest
 from palmroi.matcher import enroll, load_db, save_db
 from palmroi.synth import generate_corpus
 
@@ -259,6 +261,9 @@ class TestParseErrors:
             (b"p1\ts0\t2\t0.500000,,1.000000", "malformed feature vector"),
             (b"p1\ts0\t2\tnan,nan", "malformed feature vector: 'nan,nan'"),
             (b"p1\ts0\t2\t0.500000,-inf", "malformed feature vector"),
+            (b"p1\ts0\t2\t0_5,1.000000", "malformed feature vector: '0_5,1.000000'"),
+            (b"p1\ts0\t2\t+0.5,1.000000", "malformed feature vector: '+0.5,1.000000'"),
+            (b"p1\ts0\t2\t5e-1,1.000000", "malformed feature vector: '5e-1,1.000000'"),
             (b"p1\t\t2\t0.500000,1.000000", "field 2 is empty or padded with whitespace"),
             (b"p1\t s0\t2\t0.500000,1.000000", "field 2 is empty or padded with whitespace"),
         ],
@@ -366,6 +371,18 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert "argument --k" in capsys.readouterr().err
 
+    def test_defaults_are_the_benchmark_config(self, corpus_dir, monkeypatch):
+        # pipebench's paper-eval runs run_evaluation(manifest, RunConfig()) as "evaluate with CLI defaults"
+        seen = []
+
+        def fake(manifest, cfg):
+            seen.append(cfg)
+            return EvaluationResult(rows=[], roi_rect=RoiRect(0, 0, 1, 1), train_count=0, test_count=0)
+
+        monkeypatch.setattr(cli, "run_evaluation", fake)
+        assert main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv")]) == 0
+        assert seen == [RunConfig()]
+
 
 class TestNumericFlags:
     """Numbers that parse as floats or ints but mean nothing fail instead of running."""
@@ -396,6 +413,52 @@ class TestNumericFlags:
             main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"), "--workers", workers])
         assert exc.value.code == 2
         assert f"argument --workers: expected an integer >= 1, got '{workers}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", "+1", " 1", "\u0661"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("extract-roi", "--edge-threshold"),
+            ("extract-roi", "--strip-px"),
+            ("gen-dataset", "--identities"),
+            ("gen-dataset", "--samples"),
+            ("gen-dataset", "--seed"),
+            ("gen-dataset", "--width"),
+            ("gen-dataset", "--height"),
+            ("histcmp", "--window"),
+            ("enroll", "--k"),
+            ("evaluate", "--seed"),
+        ],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, tmp_path, capsys, command, flag, value):
+        # int() would take each value; argparse rejects it before any file is read or written
+        out = str(tmp_path / "out")
+        argv = {
+            "extract-roi": ["extract-roi", "missing.pgm", "--out", out],
+            "gen-dataset": ["gen-dataset", "--out", out],
+            "histcmp": ["histcmp", "missing.pgm", "missing_roi.pgm"],
+            "enroll": ["enroll", "--manifest", "missing.tsv", "--out", out],
+            "evaluate": ["evaluate", "--manifest", "missing.tsv"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["identify", "verify", "evaluate"])
+def test_metric_flag_is_gone(capsys, command):
+    # every distance is Euclidean, so the flag that chose one is a usage error
+    argv = {
+        "identify": ["identify", "--db", "db.tsv", "--image", "p.pgm"],
+        "verify": ["verify", "--db", "db.tsv", "--image", "p.pgm", "--claim", "p0", "--tau", "0.5"],
+        "evaluate": ["evaluate", "--manifest", "missing.tsv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--metric", "euclidean"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metric euclidean" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

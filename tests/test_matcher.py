@@ -56,12 +56,13 @@ class TestDistance:
         with pytest.raises(ValueError, match="mismatch"):
             distance(vec(1, 2), vec(1, 2, 3))
 
-    def test_manhattan_option(self):
-        assert distance(vec(0, 0), vec(0.5, 0.25), metric="manhattan") == 0.75
-
     def test_unknown_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            distance(vec(1), vec(2), metric="cosine")
+        # identify keeps a positional metric only for pipebench's checked_identify, and it must be Euclidean
+        db = enroll([("p0", "s0", vec(0.0)), ("p1", "s0", vec(2.0))])
+        assert identify(vec(1.5), db, "euclidean") == identify(vec(1.5), db) == ("p1", 0.5)
+        for metric in ("cosine", "Euclidean"):
+            with pytest.raises(ValueError, match=f"metric '{metric}'"):
+                identify(vec(1.5), db, metric)
 
     def test_metric_axioms_on_randoms(self):
         rng = np.random.default_rng(51)
@@ -92,10 +93,10 @@ class TestDistanceBitExact:
     """distance is bit-identical to the reference, so ties and digests cannot drift by an ULP."""
 
     @settings(max_examples=200, deadline=None)
-    @given(vector_pairs(), st.sampled_from(["euclidean", "manhattan"]))
-    def test_equals_reference(self, pair, metric):
+    @given(vector_pairs())
+    def test_equals_reference(self, pair):
         a, b = pair
-        assert distance(a, b, metric) == oracles.distance_reference(a, b, metric)
+        assert distance(a, b) == oracles.distance_reference(a, b)
 
 
 class TestIdentify:
