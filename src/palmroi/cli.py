@@ -8,6 +8,8 @@ degenerate split), 2 usage or I/O error (missing/malformed files).
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +30,7 @@ def _add_edge_flag(parser):
 
 def _add_roi_flags(parser):
     parser.add_argument("--strip-px", type=_integer, default=roi.RoiParams.strip_px, help="strip width in pixels")
-    parser.add_argument("--n", type=float, default=roi.RoiParams.n, help="stddev multiplier in mean - n*stddev")
+    parser.add_argument("--n", type=_decimal, default=roi.RoiParams.n, help="stddev multiplier in mean - n*stddev")
     _add_edge_flag(parser)
 
 
@@ -55,14 +57,11 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _k_values(text: str) -> tuple[int, ...]:
-    """argparse type of ``evaluate --k``: comma-separated keys of GRID_SHAPES."""
-    parts = text.split(",")
-    if all(map(_is_decimal, parts)):
-        ks = {int(p) for p in parts}
-        if ks <= GRID_SHAPES.keys():
-            return tuple(sorted(ks))
-    raise argparse.ArgumentTypeError(f"expected comma-separated sizes from {sorted(GRID_SHAPES)}, got {text!r}")
+def _decimal(text: str) -> float:
+    """argparse type of the float flags: the DB value grammar with a finite value; each layer checks its own range."""
+    if not (re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", text) and math.isfinite(float(text))):
+        raise argparse.ArgumentTypeError(f"expected a finite decimal number, got {text!r}")
+    return float(text)
 
 
 def _workers(text: str) -> int:
@@ -93,14 +92,7 @@ def _rect_line(rect: RoiRect) -> str:
 
 
 def cmd_gen_dataset(args) -> int:
-    manifest, entries = synth.generate_corpus(
-        args.identities,
-        args.samples,
-        args.seed,
-        args.out,
-        width=args.width,
-        height=args.height,
-    )
+    manifest, entries = synth.generate_corpus(args.identities, args.samples, args.seed, args.out)
     print(f"wrote {len(entries)} images and {manifest}")
     return 0
 
@@ -121,7 +113,7 @@ def cmd_histcmp(args) -> int:
     print("peak_orig,peak_roi,modes_orig,modes_roi")
     print(
         f"{histogram_peak(h_orig)},{histogram_peak(h_roi)},"
-        f"{modality(h_orig, args.window)},{modality(h_roi, args.window)}"
+        f"{modality(h_orig)},{modality(h_roi)}"
     )
     return 0
 
@@ -176,7 +168,6 @@ def cmd_verify(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = RunConfig(
         roi=_roi_params(args),
-        k_values=args.k,
         seed=args.seed,
         train_frac=args.train_frac,
         workers=args.workers,
@@ -205,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_integer, default=12, help="samples per identity")
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--width", type=_integer, default=synth.DEFAULT_WIDTH)
-    p.add_argument("--height", type=_integer, default=synth.DEFAULT_HEIGHT)
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("extract-roi", help="write the ROI crop plus a rect sidecar")
@@ -218,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histcmp", help="compare histograms of an image and its ROI")
     p.add_argument("original")
     p.add_argument("roi")
-    p.add_argument("--window", type=_integer, default=9, help="smoothing window for mode counting")
     p.set_defaults(func=cmd_histcmp)
 
     p = sub.add_parser("enroll", help="build a template database from a manifest")
@@ -241,14 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="accept/reject a claimed identity")
     _add_probe_flags(p)
     p.add_argument("--claim", required=True, help="claimed palm id")
-    p.add_argument("--tau", type=float, required=True, help="acceptance distance threshold")
+    p.add_argument("--tau", type=_decimal, required=True, help="acceptance distance threshold")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="full-frame vs ROI identification experiment")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="write the report CSV here as well as stdout")
-    p.add_argument("--k", type=_k_values, default="4,8,16", help="comma-separated feature sizes")
-    p.add_argument("--train-frac", type=float, default=0.5)
+    p.add_argument("--train-frac", type=_decimal, default=0.5)
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--workers", type=_workers, default=1)
     _add_roi_flags(p)

@@ -161,6 +161,8 @@ class TestVerify:
         assert verify(vec(0.2, 0.1), self.db, "p0", tau=-0.0)
         with pytest.raises(ValueError, match="tau must be >= 0"):
             verify(vec(0.2, 0.1), self.db, "p0", tau=-1e-12)
+        with pytest.raises(ValueError, match="tau must be a number, got nan"):
+            verify(vec(0.2, 0.1), self.db, "p0", tau=float("nan"))
 
     def test_no_exact_match_rejects_at_tau_zero(self):
         assert not verify(vec(0.15, 0.15), self.db, "p0", tau=0.0)

@@ -40,6 +40,11 @@ class TestStripPartition:
         with pytest.raises(ValueError, match="strip_px"):
             RoiParams(strip_px=0)
 
+    @pytest.mark.parametrize("n", [-1.0, float("nan"), float("inf")])
+    def test_invalid_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be finite and >= 0, got {n}"):
+            RoiParams(n=n)
+
 
 class TestStripProfile:
     def test_constant_image_all_zero(self, flat_image):

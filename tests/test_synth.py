@@ -115,10 +115,15 @@ class TestGeneratePalm:
         assert abs(border.mean() - model.base_gray) < 1.0
         assert border.std() < 2 * synth.NOISE_SIGMA
 
-    @pytest.mark.parametrize("margin", [0, 5])
-    def test_margin_below_max_translation_rejected(self, tmp_path, margin):
-        with pytest.raises(ValueError, match="margin"):
-            generate_corpus(1, 2, 42, tmp_path / "c", margin=margin)
+    @pytest.mark.parametrize(
+        "frame, match",
+        [({"margin": 0}, "margin"), ({"margin": 5}, "margin"), ({"width": 50}, "frame"), ({"height": 99}, "frame")],
+        ids=["margin0", "margin5", "width50", "height99"],
+    )
+    def test_margin_below_max_translation_rejected(self, tmp_path, frame, match):
+        # a bad frame also fails before the corpus directory is made
+        with pytest.raises(ValueError, match=match):
+            generate_corpus(1, 2, 42, tmp_path / "c", **frame)
         assert not (tmp_path / "c").exists()
 
     def test_margin_equal_to_max_translation_renders(self, tmp_path):
