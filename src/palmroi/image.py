@@ -193,7 +193,7 @@ def save_pgm(img: np.ndarray, path) -> None:
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(img).tobytes())
+        fh.write(np.ascontiguousarray(img))  # row-major pixels through the buffer protocol, no bytes copy
 
 
 def crop(img: np.ndarray, rect: RoiRect) -> np.ndarray:

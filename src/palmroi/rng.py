@@ -81,6 +81,16 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+def _finalize_into(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer applied in place to the uint64 states ``z``; ``t`` is scratch of the same size."""
+    for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mult is not None:
+            z *= np.uint64(mult)
+    return z
+
+
 def stream_u64(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Outputs ``start .. start + n - 1`` of SplitMix64(seed), vectorized (uint64).
 
@@ -90,13 +100,7 @@ def stream_u64(seed: int, n: int, start: int = 0) -> np.ndarray:
     z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     z *= np.uint64(GAMMA)
     z += np.uint64(int(seed) & MASK64)
-    t = np.empty_like(z)
-    for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        if mult is not None:
-            z *= np.uint64(mult)
-    return z
+    return _finalize_into(z, np.empty_like(z))
 
 
 def stream_floats(seed: int, n: int) -> np.ndarray:
@@ -104,8 +108,9 @@ def stream_floats(seed: int, n: int) -> np.ndarray:
     return (stream_u64(seed, n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-# Field elements drawn per block: the block's 2 x 128 KB of stream outputs
-# and its float buffer stay in cache through the Box-Muller steps.
+# Field elements drawn per block.  A field allocates its block buffers once:
+# the step table, the states and the finalizer's scratch, 3 x 256 KB of
+# uint64 that stay in cache through the Box-Muller steps.
 _FIELD_BLOCK = 1 << 14
 
 
@@ -117,23 +122,42 @@ def normal_field(seed: int, shape: tuple, sigma: float = 1.0) -> np.ndarray:
     blocks of ``_FIELD_BLOCK`` elements, each drawn from its own offset into
     the stream; the block size changes no bit of the result.
     """
-    m = int(np.prod(shape))
-    out = np.empty(m, dtype=np.float64)
-    angle = np.empty(min(m, _FIELD_BLOCK), dtype=np.float64)
+    out = np.empty(int(np.prod(shape)), dtype=np.float64)
+    for lo, block in _normal_blocks(seed, out.size, sigma):
+        out[lo : lo + len(block)] = block
+    return out.reshape(shape)
+
+
+def _normal_blocks(seed: int, m: int, sigma: float):
+    """Yield ``(lo, block)``: elements ``lo ..`` of an ``m``-element field, in order.
+
+    A block is a view into buffers the next block overwrites, so use it
+    before asking for the next one.
+    """
+    b = min(m, _FIELD_BLOCK)
+    # the block starting at element lo holds states (seed + 2 lo GAMMA) + steps
+    steps = np.arange(1, 2 * b + 1, dtype=np.uint64)
+    steps *= np.uint64(GAMMA)
+    z = np.empty(2 * b, dtype=np.uint64)
+    t = np.empty(2 * b, dtype=np.uint64)
+    seed = int(seed) & MASK64
     for lo in range(0, m, _FIELD_BLOCK):
-        radius = out[lo : lo + _FIELD_BLOCK]
-        n = len(radius)
-        u = stream_u64(seed, 2 * n, 2 * lo) >> np.uint64(11)
+        n = min(b, m - lo)
+        u, scratch = z[: 2 * n], t[: 2 * n]
+        np.add(steps[: 2 * n], np.uint64((seed + 2 * lo * GAMMA) & MASK64), out=u)
+        _finalize_into(u, scratch)
+        u >>= np.uint64(11)
+        # the finalizer is done with its scratch, which now holds the two float halves
+        theta, radius = scratch.view(np.float64).reshape(2, n)
         # radius = sqrt(-2 ln u1) with u1 in (0, 1]; angle = 2 pi u2 with u2 in [0, 1)
         np.add(u[0::2], 1.0, out=radius)
         radius *= _INV_2_53
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        theta = angle[:n]
         np.multiply(u[1::2], _INV_2_53, out=theta)
         theta *= 2.0 * np.pi
         np.cos(theta, out=theta)
         radius *= theta
         radius *= sigma
-    return out.reshape(shape)
+        yield lo, radius

@@ -12,7 +12,8 @@ All randomness flows through the SplitMix64 streams in :mod:`palmroi.rng`;
 the same (master seed, identity, sample) always yields byte-identical
 images, which the corpus tests pin with golden hashes. Strokes are
 quadratic curves rasterized by thickness stamping without anti-aliasing so
-rendering stays integer-exact; manifests belong to :mod:`palmroi.image`.
+rendering stays integer-exact; each curve is built once per stroke and
+shifted per sample.  Manifests belong to :mod:`palmroi.image`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .image import ManifestEntry, _thread_map, save_pgm, write_manifest
-from .rng import SplitMix64, mix, normal_field, stream_floats
+from .rng import SplitMix64, _normal_blocks, mix, normal_field, stream_floats
 
 DEFAULT_WIDTH = 384
 DEFAULT_HEIGHT = 284
@@ -58,6 +60,19 @@ class Stroke:
     p2: tuple[float, float]
     thickness: int
     intensity: int
+
+    @cached_property
+    def curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (xs, ys) points of the untranslated curve, built on first use and kept with the stroke."""
+        (x0, y0), (x1, y1), (x2, y2) = self.p0, self.p1, self.p2
+        approx_len = math.hypot(x1 - x0, y1 - y0) + math.hypot(x2 - x1, y2 - y1)
+        t = np.linspace(0.0, 1.0, max(16, int(2 * approx_len)))
+        omt = 1.0 - t
+        xs = omt * omt * x0 + 2 * omt * t * x1 + t * t * x2
+        ys = omt * omt * y0 + 2 * omt * t * y1 + t * t * y2
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        return xs, ys
 
 
 @dataclass(frozen=True)
@@ -161,8 +176,9 @@ def sample_translation(sample_seed: int) -> tuple[int, int]:
     return rng.randint(-MAX_TRANSLATION, MAX_TRANSLATION), rng.randint(-MAX_TRANSLATION, MAX_TRANSLATION)
 
 
+@lru_cache(maxsize=None)
 def _disc_offsets(thickness: int) -> np.ndarray:
-    """Integer offsets of a stamped disc of diameter `thickness`."""
+    """Read-only integer offsets of a stamped disc of diameter `thickness`, built once per thickness."""
     r = thickness / 2.0
     span = int(math.ceil(r))
     offs = [
@@ -171,19 +187,16 @@ def _disc_offsets(thickness: int) -> np.ndarray:
         for dx in range(-span, span + 1)
         if dy * dy + dx * dx <= r * r
     ]
-    return np.array(offs, dtype=np.int64)
+    offs = np.array(offs, dtype=np.int64)
+    offs.flags.writeable = False
+    return offs
 
 
 def _stamp_stroke(canvas: np.ndarray, stroke: Stroke, dx: int, dy: int, value: int) -> None:
-    (x0, y0), (x1, y1), (x2, y2) = stroke.p0, stroke.p1, stroke.p2
-    approx_len = math.hypot(x1 - x0, y1 - y0) + math.hypot(x2 - x1, y2 - y1)
-    steps = max(16, int(2 * approx_len))
-    t = np.linspace(0.0, 1.0, steps)
-    omt = 1.0 - t
-    xs = omt * omt * x0 + 2 * omt * t * x1 + t * t * x2 + dx
-    ys = omt * omt * y0 + 2 * omt * t * y1 + t * t * y2 + dy
-    xi = np.rint(xs).astype(np.int64)
-    yi = np.rint(ys).astype(np.int64)
+    # shift the floats, then round: rounding the curve first would move points that sit on a .5 tie
+    xs, ys = stroke.curve
+    xi = np.rint(xs + dx).astype(np.int64)
+    yi = np.rint(ys + dy).astype(np.int64)
     offs = _disc_offsets(stroke.thickness)
     yy = (yi[:, None] + offs[:, 0]).ravel()
     xx = (xi[:, None] + offs[:, 1]).ravel()
@@ -232,9 +245,13 @@ def generate_palm(model: PalmModel, sample_seed: int) -> np.ndarray:
         wobble = wobble_rng.randint(-INTENSITY_JITTER, INTENSITY_JITTER)
         _stamp_stroke(canvas, stroke, dx, dy, int(_clamp(stroke.intensity + wobble, 0, 255)))
 
-    canvas += normal_field(mix(sample_seed, _TAG_NOISE), canvas.shape, NOISE_SIGMA)
-
-    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+    # the sensor noise is added block by block, so no whole noise field is allocated
+    flat = canvas.reshape(-1)
+    for lo, block in _normal_blocks(mix(sample_seed, _TAG_NOISE), flat.size, NOISE_SIGMA):
+        flat[lo : lo + len(block)] += block
+    np.rint(canvas, out=canvas)
+    np.clip(canvas, 0, 255, out=canvas)
+    return canvas.astype(np.uint8)
 
 
 def identity_seed_for(master_seed: int, identity: int) -> int:

@@ -138,3 +138,63 @@ def normal_field_reference(seed, shape, sigma=1.0) -> np.ndarray:
     u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return (sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))).reshape(shape)
+
+
+def _finalize_reference(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def _splitmix_outputs(seed):
+    """Endless SplitMix64 outputs of `seed`, scalar Python ints."""
+    state = int(seed) % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        yield _finalize_reference(state)
+
+
+def _mix_reference(*values) -> int:
+    """The tagged seed fold: each value is added to the accumulator, which is then finalized."""
+    acc = 0x9E3779B97F4A7C15
+    for v in values:
+        acc = _finalize_reference((acc + int(v) % 2**64) % 2**64)
+    return acc
+
+
+def _randint_reference(outputs, lo, hi) -> int:
+    return lo + next(outputs) % (hi - lo + 1)
+
+
+def render_reference(model, sample_seed) -> np.ndarray:
+    """One sample of a synth.PalmModel, rendered from the generator's specification.
+
+    Per sample it draws the shift (tag 0x11, up to 6 px per axis) and one
+    wobble per stroke (tag 0x13, up to 10 gray levels), adds the model's ridge
+    layer at the shifted content box, builds each stroke's quadratic curve,
+    stamps one disc offset at a time, adds the whole-array sensor noise
+    (tag 0x12, stddev 3) and rounds and clips into a new array.
+    """
+    shift = _splitmix_outputs(_mix_reference(sample_seed, 0x11))
+    dx, dy = _randint_reference(shift, -6, 6), _randint_reference(shift, -6, 6)
+    wobble = _splitmix_outputs(_mix_reference(sample_seed, 0x13))
+    h, w = model.height, model.width
+    canvas = np.full((h, w), float(model.base_gray))
+    ih, iw = model.ridge.shape
+    canvas[model.margin + dy : model.margin + dy + ih, model.margin + dx : model.margin + dx + iw] += model.ridge
+    for stroke in model.wrinkles + model.principal_lines:
+        value = float(min(max(stroke.intensity + _randint_reference(wobble, -10, 10), 0), 255))
+        (x0, y0), (x1, y1), (x2, y2) = stroke.p0, stroke.p1, stroke.p2
+        t = np.linspace(0.0, 1.0, max(16, int(2 * (math.hypot(x1 - x0, y1 - y0) + math.hypot(x2 - x1, y2 - y1)))))
+        omt = 1.0 - t
+        xi = np.rint(omt * omt * x0 + 2 * omt * t * x1 + t * t * x2 + dx).astype(np.int64)
+        yi = np.rint(omt * omt * y0 + 2 * omt * t * y1 + t * t * y2 + dy).astype(np.int64)
+        r = stroke.thickness / 2.0
+        span = int(math.ceil(r))
+        for oy in range(-span, span + 1):
+            for ox in range(-span, span + 1):
+                if oy * oy + ox * ox <= r * r:
+                    ok = (yi + oy >= 0) & (yi + oy < h) & (xi + ox >= 0) & (xi + ox < w)
+                    canvas[yi[ok] + oy, xi[ok] + ox] = value
+    canvas = canvas + normal_field_reference(_mix_reference(sample_seed, 0x12), (h, w), 3.0)
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)

@@ -50,6 +50,15 @@ class TestPgm:
         save_pgm(again, tmp_path / "b.pgm")
         assert (tmp_path / "b.pgm").read_bytes() == p.read_bytes()
 
+    def test_strided_and_transposed_views_write_row_major_bytes(self, tmp_path):
+        img = np.arange(48, dtype=np.uint8).reshape(6, 8)
+        for view in (img[:, ::3], img.T, np.asfortranarray(img)):
+            p = tmp_path / "v.pgm"
+            save_pgm(view, p)
+            header = f"P5\n{view.shape[1]} {view.shape[0]}\n255\n".encode("ascii")
+            assert p.read_bytes() == header + view.tobytes()
+            assert (load_pgm(p) == view).all()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pgm(tmp_path / "nope.pgm")

@@ -1,11 +1,12 @@
 """Bounded memory: enrollment and evaluation keep a packed mask per image, not an image or a full mask;
-a noise field is drawn in blocks, not from one stream of its full size."""
+a noise field is drawn in blocks, not from one stream of its full size; a render adds its noise to the
+canvas block by block, and what the generator caches lives with its identity, not the module."""
 
 import tracemalloc
 
 import pytest
 
-from palmroi import cli, synth
+from palmroi import cli, rng, synth
 from palmroi.evaluate import RunConfig, run_evaluation
 from palmroi.image import write_manifest
 from palmroi.rng import normal_field
@@ -60,3 +61,24 @@ def test_noise_field_peak_is_under_three_fields():
     normal_field(3, shape)  # untraced first call
     peak = peak_bytes(lambda: normal_field(3, shape, 3.0))
     assert peak < 3 * field_bytes, f"peak {peak} B is {peak / field_bytes:.2f} fields"
+
+
+def test_render_peak_is_under_two_and_a_half_frames():
+    """The canvas plus the noise block buffers (under one frame); no whole noise field, no second canvas."""
+    frame_bytes = synth.DEFAULT_WIDTH * synth.DEFAULT_HEIGHT * 8
+    synth.generate_palm(synth.PalmModel.from_seed(1), 0)  # untraced first render
+    model = synth.PalmModel.from_seed(2)
+    peak = peak_bytes(lambda: synth.generate_palm(model, 3))  # builds this model's stroke curves too
+    assert peak < 2.5 * frame_bytes, f"peak {peak} B is {peak / frame_bytes:.2f} float64 frames"
+
+
+def test_module_caches_hold_at_most_one_entry_per_thickness(tmp_path):
+    caches = [f for module in (synth, rng) for f in vars(module).values() if hasattr(f, "cache_info")]
+    for cache in caches:
+        cache.cache_clear()
+    synth.generate_corpus(6, 2, 4, tmp_path)
+    models = [synth.PalmModel.from_seed(synth.identity_seed_for(4, i)) for i in range(6)]
+    thicknesses = {s.thickness for m in models for s in m.wrinkles + m.principal_lines}
+    assert caches, "the disc offsets are cached per thickness"
+    for cache in caches:
+        assert cache.cache_info().currsize <= len(thicknesses), f"{cache.__name__}: {cache.cache_info()}"

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from palmroi import cli, roi, synth
@@ -69,6 +71,25 @@ class TestGeneratePalm:
         a = generate_palm(model, seed)
         b = generate_palm(model, seed)
         assert (a == b).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        width=st.integers(100, 160),
+        height=st.integers(100, 160),
+        margin=st.integers(6, 30),
+        identity_seed=st.integers(0, 2**64 - 1),
+        sample_seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+    )
+    def test_render_matches_reference(self, width, height, margin, identity_seed, sample_seeds):
+        first, second = sample_seeds
+        model = PalmModel.from_seed(identity_seed, width, height, margin)
+        assert generate_palm(model, first).tobytes() == oracles.render_reference(model, first).tobytes()
+        strokes = model.wrinkles + model.principal_lines
+        curves = [s.curve for s in strokes]
+        cached = generate_palm(model, second)
+        assert all(s.curve is c for s, c in zip(strokes, curves))  # built once per stroke, not per sample
+        fresh = generate_palm(PalmModel.from_seed(identity_seed, width, height, margin), second)
+        assert cached.tobytes() == fresh.tobytes() == oracles.render_reference(model, second).tobytes()
 
     def test_rendering_leaves_the_ridge_unchanged(self):
         model = default_model()
