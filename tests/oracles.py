@@ -3,11 +3,17 @@
 Everything here is deliberately brute-force and shares no code with the
 package: flood fill instead of union-find, per-pixel kernel application
 instead of vectorized slicing, linear scans instead of the library's paths.
+The one exception is the end-to-end reference's train/test split, which
+calls ``evaluate.split_corpus``: the split is the specification.
 """
 
 import math
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
+
+from palmroi.evaluate import split_corpus
 
 SOBEL_GX = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
 SOBEL_GY = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
@@ -17,22 +23,23 @@ def flood_fill_count(mask) -> int:
     """8-connected component count by explicit stack-based flood fill."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    seen = np.zeros_like(mask)
+    # Python lists, which index several times faster than numpy, with a False ring so that
+    # every neighbour is in range; a pixel is cleared when the fill reaches it
+    grid = [[False] * (w + 2)] + [[False, *row, False] for row in mask.tolist()] + [[False] * (w + 2)]
     count = 0
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or seen[sy, sx]:
+    for sy in range(1, h + 1):
+        for sx in range(1, w + 1):
+            if not grid[sy][sx]:
                 continue
             count += 1
+            grid[sy][sx] = False
             stack = [(sy, sx)]
-            seen[sy, sx] = True
             while stack:
                 y, x = stack.pop()
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = y + dy, x + dx
-                        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                            seen[ny, nx] = True
+                for ny in (y - 1, y, y + 1):
+                    for nx in (x - 1, x, x + 1):
+                        if grid[ny][nx]:
+                            grid[ny][nx] = False
                             stack.append((ny, nx))
     return count
 
@@ -41,14 +48,19 @@ def sobel_l1_reference(img) -> np.ndarray:
     """Per-pixel 3x3 kernel application; border ring zero."""
     a = np.asarray(img, dtype=np.int64)
     h, w = a.shape
-    out = np.zeros((h, w), dtype=np.int64)
+    a = a.tolist()  # Python lists: indexing them is several times faster than indexing numpy
+    kx, ky = SOBEL_GX.tolist(), SOBEL_GY.tolist()
+    out = [[0] * w for _ in range(h)]
     for y in range(1, h - 1):
         for x in range(1, w - 1):
-            window = a[y - 1 : y + 2, x - 1 : x + 2]
-            gx = int((window * SOBEL_GX).sum())
-            gy = int((window * SOBEL_GY).sum())
-            out[y, x] = abs(gx) + abs(gy)
-    return out
+            gx = gy = 0
+            for i in range(3):
+                for j in range(3):
+                    v = a[y - 1 + i][x - 1 + j]
+                    gx += kx[i][j] * v
+                    gy += ky[i][j] * v
+            out[y][x] = abs(gx) + abs(gy)
+    return np.array(out, dtype=np.int64).reshape(h, w)
 
 
 def smoothed_local_max_count(hist, window) -> int:
@@ -198,3 +210,114 @@ def render_reference(model, sample_seed) -> np.ndarray:
                     canvas[yi[ok] + oy, xi[ok] + ox] = value
     canvas = canvas + normal_field_reference(_mix_reference(sample_seed, 0x12), (h, w), 3.0)
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# End-to-end reference: manifest -> edge masks -> strip profiles -> trim ->
+# boundary vote -> grid features -> linear 1-NN -> the evaluate CSV, and the
+# template DB of `enroll --roi auto`.
+
+_GRID_SHAPES = {4: (2, 2), 8: (2, 4), 16: (4, 4)}
+
+_Entry = namedtuple("Entry", "path palm_id sample_id")
+
+
+class ReferenceEmptyRoi(Exception):
+    """The reference's empty ROI: every strip of an orientation below threshold, or crossed boundary votes."""
+
+
+def _pgm_pixels_reference(path) -> np.ndarray:
+    """A P5 PGM without header comments: the pixels are the file's last width * height bytes."""
+    data = Path(path).read_bytes()
+    _, width, height, _ = data.split(maxsplit=4)[:4]
+    w, h = int(width), int(height)
+    return np.frombuffer(data[len(data) - w * h :], dtype=np.uint8).reshape(h, w)
+
+
+def corpus_masks_reference(manifest):
+    """[(entry with path, palm_id and sample_id, edge mask)] in manifest order; the mask is the per-pixel Sobel >= 96."""
+    corpus = []
+    for line in Path(manifest).read_text(encoding="ascii").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            rel, palm_id, sample_id = line.split("\t")
+            entry = _Entry(Path(manifest).parent / rel, palm_id, sample_id)
+            corpus.append((entry, sobel_l1_reference(_pgm_pixels_reference(entry.path)) >= 96))
+    return corpus
+
+
+def _kept_strips(counts, n, orientation):
+    """(first, last) strip with count >= mean - n * population stddev, by plain-Python statistics."""
+    mean = sum(counts) / len(counts)
+    stddev = math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+    kept = [i for i, c in enumerate(counts) if c >= mean - n * stddev]
+    if not kept:
+        raise ReferenceEmptyRoi(f"every {orientation} strip below threshold")
+    return kept[0], kept[-1]
+
+
+def strip_ranges_reference(mask, n, strip_px):
+    """(rows kept, columns kept) of one mask: whole strip_px-wide strips, the remainder dropped."""
+    h, w = mask.shape
+    rows = [flood_fill_count(mask[y : y + strip_px, :]) for y in range(0, h - strip_px + 1, strip_px)]
+    cols = [flood_fill_count(mask[:, x : x + strip_px]) for x in range(0, w - strip_px + 1, strip_px)]
+    return _kept_strips(rows, n, "horizontal"), _kept_strips(cols, n, "vertical")
+
+
+def _most_frequent(values, prefer_small):
+    """The most frequent value; a tie goes to the smallest (prefer_small) or the largest."""
+    return min(set(values), key=lambda v: (-values.count(v), v if prefer_small else -v))
+
+
+def _voted_rect(ranges, strip_px):
+    """(x0, y0, width, height) of the per-boundary votes over [(rows kept, columns kept)]."""
+    top = _most_frequent([r[0] for r, _ in ranges], prefer_small=True)
+    bottom = _most_frequent([r[1] for r, _ in ranges], prefer_small=False)
+    left = _most_frequent([c[0] for _, c in ranges], prefer_small=True)
+    right = _most_frequent([c[1] for _, c in ranges], prefer_small=False)
+    if top > bottom or left > right:
+        raise ReferenceEmptyRoi("boundary votes cross")
+    return left * strip_px, top * strip_px, (right - left + 1) * strip_px, (bottom - top + 1) * strip_px
+
+
+def _grid_features(mask, rect, k):
+    """Flood-fill counts of the k grid cells over rect, row-major, divided by the largest (all 0 if it is 0)."""
+    x0, y0, w, h = rect
+    rows, cols = _GRID_SHAPES[k]
+    ys = [y0 + i * (h // rows) for i in range(rows)] + [y0 + h]
+    xs = [x0 + j * (w // cols) for j in range(cols)] + [x0 + w]
+    counts = [flood_fill_count(mask[ys[i] : ys[i + 1], xs[j] : xs[j + 1]]) for i in range(rows) for j in range(cols)]
+    peak = max(counts)
+    return [c / peak if peak else 0.0 for c in counts]
+
+
+def evaluate_reference(corpus, train_frac, seed, k_values, n, strip_px):
+    """(CSV text, ROI rect) of the before/after-ROI experiment on ``corpus_masks_reference`` output.
+
+    The ROI is voted from the training images' strip ranges; per (mode, k)
+    every test image is identified by linear 1-NN over the training templates.
+    """
+    masks = dict(corpus)
+    train, test = split_corpus([entry for entry, _ in corpus], train_frac, seed)
+    rect = _voted_rect([strip_ranges_reference(masks[e], n, strip_px) for e in train], strip_px)
+    h, w = corpus[0][1].shape
+    lines = ["mode,k,total,correct,R"]
+    for mode, mode_rect in (("full", (0, 0, w, h)), ("roi", rect)):
+        for k in sorted(k_values):
+            templates = [_grid_features(masks[e], mode_rect, k) for e in train]
+            correct = 0
+            for e in test:
+                i, _ = nearest_template_linear(_grid_features(masks[e], mode_rect, k), templates)
+                correct += train[i].palm_id == e.palm_id
+            lines.append(f"{mode},{k},{len(test)},{correct},{correct / len(test):.6f}")
+    return "\n".join(lines) + "\n", rect
+
+
+def enroll_reference(corpus, k, n, strip_px):
+    """(DB file text, ROI rect) of ``enroll --roi auto``: the ROI is voted over every image."""
+    rect = _voted_rect([strip_ranges_reference(mask, n, strip_px) for _, mask in corpus], strip_px)
+    lines = ["# palm_id\tsample_id\tk\tfeatures"]
+    for entry, mask in corpus:
+        values = ",".join(f"{v:.6f}" for v in _grid_features(mask, rect, k))
+        lines.append(f"{entry.palm_id}\t{entry.sample_id}\t{k}\t{values}")
+    return "\n".join(lines) + "\n", rect

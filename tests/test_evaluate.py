@@ -3,11 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import palmroi
+from palmroi import cli, roi
+from palmroi.edges import edge_mask
 from palmroi.evaluate import RunConfig, run_evaluation, split_corpus
-from palmroi.image import ManifestEntry
+from palmroi.image import ManifestEntry, load_pgm, save_pgm, write_manifest
+from palmroi.roi import EmptyRoiError, RoiParams
 from palmroi.synth import generate_corpus
 
 
@@ -112,3 +119,85 @@ def test_importing_evaluate_leaves_the_generator_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(palmroi.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip_px, enroll_k):
+    """Each image's keep ranges, evaluate's CSV and ROI, and enroll --roi auto's DB and ROI equal the reference's.
+
+    An empty ROI must be one on both sides.
+    """
+    corpus = oracles.corpus_masks_reference(manifest)
+    params = RoiParams(strip_px=strip_px, n=n)
+    for entry, mask in corpus:
+        h_range, v_range = roi.ranges_from_mask(edge_mask(load_pgm(entry.path)), params)
+        got = ((h_range.first, h_range.last), (v_range.first, v_range.last))
+        assert got == oracles.strip_ranges_reference(mask, n, strip_px), entry.path
+
+    cfg = RunConfig(roi=params, k_values=tuple(sorted(k_values)), seed=seed, train_frac=train_frac)
+    try:
+        expected = oracles.evaluate_reference(corpus, train_frac, seed, k_values, n, strip_px)
+    except oracles.ReferenceEmptyRoi:
+        with pytest.raises(EmptyRoiError):
+            run_evaluation(manifest, cfg)
+    else:
+        result = run_evaluation(manifest, cfg)
+        r = result.roi_rect
+        assert (result.to_csv(), (r.x0, r.y0, r.width, r.height)) == expected
+
+    argv = ["enroll", "--manifest", str(manifest), "--k", str(enroll_k), "--out", str(out / "db.tsv")]
+    argv += ["--roi-out", str(out / "roi.rect"), "--strip-px", str(strip_px), "--n", str(n)]
+    args = cli.build_parser().parse_args(argv)
+    try:
+        db_text, rect = oracles.enroll_reference(corpus, enroll_k, n, strip_px)
+    except oracles.ReferenceEmptyRoi:
+        with pytest.raises(EmptyRoiError):
+            args.func(args)
+    else:
+        assert args.func(args) == 0
+        assert (out / "db.tsv").read_text() == db_text
+        assert (out / "roi.rect").read_text() == "{} {} {} {}\n".format(*rect)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    frame=st.tuples(st.integers(100, 140), st.integers(100, 140), st.integers(6, 10)),
+    identities=st.integers(5, 6),
+    seed=st.integers(0, 2**32 - 1),
+    train_frac=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    n=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    strip_px=st.sampled_from([5, 10, 13]),
+    k_values=st.sets(st.sampled_from([4, 8, 16]), min_size=1),
+    enroll_k=st.sampled_from([4, 8, 16]),
+)
+def test_generated_corpora_match_the_end_to_end_reference(
+    tmp_path_factory, frame, identities, seed, train_frac, n, strip_px, k_values, enroll_k
+):
+    width, height, margin = frame
+    out = tmp_path_factory.mktemp("reference")
+    manifest, _ = generate_corpus(identities, 4, seed, out / "corpus", width=width, height=height, margin=margin)
+    assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip_px, enroll_k)
+
+
+@pytest.mark.parametrize(
+    "bands, train_frac",
+    [
+        # n = 0 keeps exactly each image's textured 10-px row strips: the firsts 5, 5, 5, 0, 1
+        # vote top = 5 and the lasts 5, 6, 7, 1, 1 vote bottom = 1, so the votes cross
+        ([(5, 5), (5, 6), (5, 7), (0, 1), (1, 1)], 1.0),
+        # no edges: every profile is flat at its threshold, so every strip is kept, every
+        # feature vector is zero, and each probe goes to the first enrolled template
+        ([None] * 5, 0.5),
+    ],
+)
+def test_hand_built_corpora_match_the_end_to_end_reference(tmp_path, bands, train_frac):
+    rng = np.random.default_rng(3)
+    entries = []
+    for i, band in enumerate(bands):
+        img = np.full((100, 100), 128, dtype=np.uint8)
+        if band is not None:
+            first, last = band
+            img[first * 10 + 2 : last * 10 + 8] = rng.integers(0, 2, (10 * (last - first) + 6, 100)) * 255
+        entries.append(ManifestEntry(tmp_path / f"{i}.pgm", f"p{i // 3}", f"s{i}"))
+        save_pgm(img, entries[-1].path)
+    write_manifest(entries, tmp_path / "manifest.tsv")
+    assert_matches_reference(tmp_path / "manifest.tsv", tmp_path, train_frac, 0, {4, 16}, 0.0, 10, 4)

@@ -1,6 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
+import scipy
 
 import oracles
+import palmroi
 from palmroi import kernels
 
 
@@ -45,7 +54,45 @@ def test_count_accepts_strided_views():
     assert kernels.count_components(view) == oracles.flood_fill_count(view)
 
 
-def test_empty_and_full_masks():
-    assert kernels.count_components(np.zeros((10, 10), dtype=bool)) == 0
-    assert kernels.count_components(np.ones((10, 10), dtype=bool)) == 1
-    assert kernels.count_components(np.ones((1, 1), dtype=bool)) == 1
+@pytest.mark.parametrize(
+    "mask, count",
+    [
+        (np.zeros((10, 10), dtype=bool), 0),
+        (np.ones((10, 10), dtype=bool), 1),
+        (np.ones((1, 1), dtype=bool), 1),
+        (np.zeros((0, 4), dtype=bool), 0),
+    ],
+)
+def test_empty_and_full_masks(mask, count):
+    assert kernels.count_components(mask) == count
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (3, 4, 5)])
+def test_masks_that_are_not_2d_are_rejected(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        kernels.count_components(np.ones(shape, dtype=bool))
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded_and_a_later_import_agrees():
+    code = """
+import sys
+import numpy as np
+import palmroi.cli
+from palmroi import kernels
+assert "scipy.ndimage" not in sys.modules
+mask = np.random.default_rng(5).random((60, 70)) < 0.3
+n = kernels.count_components(mask)
+from scipy import ndimage
+assert ndimage.label(mask, structure=np.ones((3, 3)))[1] == n
+print(n)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(palmroi.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 1
+
+
+def test_missing_labeler_extension_names_the_directory(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__}: no _ni_label extension in {tmp_path / 'ndimage'}")):
+        kernels._load_label()
