@@ -19,30 +19,19 @@ from .features import GRID_SHAPES, extract_features, features_from_mask
 from .image import PgmFormatError, RoiRect, crop, full_rect, histogram, histogram_peak, load_pgm, modality, save_pgm
 
 
-def _add_edge_flag(parser):
-    parser.add_argument(
-        "--edge-threshold",
-        type=_integer,
-        default=edges.DEFAULT_EDGE_THRESHOLD,
-        help="Sobel L1 magnitude threshold for edge pixels",
-    )
-
-
 def _add_roi_flags(parser):
     parser.add_argument("--strip-px", type=_integer, default=roi.RoiParams.strip_px, help="strip width in pixels")
     parser.add_argument("--n", type=_decimal, default=roi.RoiParams.n, help="stddev multiplier in mean - n*stddev")
-    _add_edge_flag(parser)
 
 
 def _add_probe_flags(parser):
     parser.add_argument("--db", required=True)
     parser.add_argument("--image", required=True)
     parser.add_argument("--roi", default="full", help="'full', 'x0 y0 w h', or @sidecar-file")
-    _add_edge_flag(parser)
 
 
 def _roi_params(args) -> roi.RoiParams:
-    return roi.RoiParams(args.strip_px, args.n, args.edge_threshold)
+    return roi.RoiParams(args.strip_px, args.n)
 
 
 def _is_decimal(text: str) -> bool:
@@ -72,7 +61,7 @@ def _workers(text: str) -> int:
 
 
 def _parse_rect(text: str) -> RoiRect:
-    parts = text.replace(",", " ").split()
+    parts = text.split()
     if len(parts) != 4 or not all(map(_is_decimal, parts)):
         raise ValueError(f"expected 'x0 y0 width height', got {text!r}")
     return RoiRect(*map(int, parts))
@@ -123,7 +112,7 @@ def _probe(args):
     rect = _fixed_rect(args.roi)
     db = matcher.load_db(args.db)
     img = load_pgm(args.image)
-    return db, extract_features(img, full_rect(img) if rect is None else rect, db.k, args.edge_threshold)
+    return db, extract_features(img, full_rect(img) if rect is None else rect, db.k)
 
 
 def cmd_enroll(args) -> int:
@@ -132,7 +121,7 @@ def cmd_enroll(args) -> int:
     auto = args.roi == "auto"
     # A literal or @file rect is read before any image, so a bad spec fails first.
     fixed = None if auto else _fixed_rect(args.roi)
-    masks = (edges.edge_mask(load_pgm(e.path), params.edge_threshold) for e in entries)
+    masks = (edges.edge_mask(load_pgm(e.path)) for e in entries)
     # Each mask waits packed for the frame check and the rect; auto fits the rect to every image's ranges.
     prepared = [(full_rect(m), roi.ranges_from_mask(m, params) if auto else None, edges.pack_mask(m)) for m in masks]
     frame = image.same_frame(entries, [f for f, _, _ in prepared])

@@ -18,6 +18,7 @@ import numpy as np
 from . import kernels
 from .image import check_image
 
+# The pipeline's only threshold: no DB or rect file records one, so probes binarize as their gallery did.
 DEFAULT_EDGE_THRESHOLD = 96
 
 

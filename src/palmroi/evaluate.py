@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import edges, matcher, roi
-from .features import features_from_mask
+from .features import GRID_SHAPES, features_from_mask
 from .image import ManifestEntry, RoiRect, _thread_map, full_rect, load_pgm, read_manifest, same_frame
 from .rng import SplitMix64, mix
 from .roi import RoiParams
@@ -25,7 +25,6 @@ _SPLIT_TAG = 0x51
 @dataclass(frozen=True)
 class RunConfig:
     roi: RoiParams = RoiParams()
-    k_values: tuple[int, ...] = (4, 8, 16)
     seed: int = DEFAULT_SEED
     train_frac: float = 0.5
     workers: int = 1
@@ -83,7 +82,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
     def prepare(entry):
         """(frame rect, keep ranges if a training image, packed edge mask) of one entry; the image is dropped."""
         img = load_pgm(entry.path)
-        mask = edges.edge_mask(img, cfg.roi.edge_threshold)
+        mask = edges.edge_mask(img)
         # keep_ranges repeats edge_mask's Sobel; pipebench/test_pipebench.py pins 180 edge_mask calls per pass
         ranges = roi.keep_ranges(img, cfg.roi) if entry in in_train else None
         return full_rect(img), ranges, edges.pack_mask(mask)
@@ -93,7 +92,7 @@ def run_evaluation(manifest_path, cfg: RunConfig = RunConfig()) -> EvaluationRes
     rect_roi = roi.common_roi([ranges for _, ranges, _ in prepared if ranges is not None], cfg.roi.strip_px)
 
     # Each mask is unpacked once for all of its (mode, k) feature vectors.
-    modes = [(mode, rect, k) for mode, rect in (("full", rect_full), ("roi", rect_roi)) for k in sorted(cfg.k_values)]
+    modes = [(mode, rect, k) for mode, rect in (("full", rect_full), ("roi", rect_roi)) for k in sorted(GRID_SHAPES)]
 
     def features(packed):
         mask = edges.unpack_mask(packed)

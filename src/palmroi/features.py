@@ -44,12 +44,7 @@ def features_from_mask(mask: np.ndarray, rect: RoiRect, k: int) -> np.ndarray:
     return raw / peak if peak > 0 else raw
 
 
-def extract_features(
-    img: np.ndarray,
-    rect: RoiRect,
-    k: int,
-    edge_threshold: int = edges.DEFAULT_EDGE_THRESHOLD,
-) -> np.ndarray:
+def extract_features(img: np.ndarray, rect: RoiRect, k: int) -> np.ndarray:
     """Features of one image: ``features_from_mask`` of its edge mask."""
-    return features_from_mask(edges.edge_mask(img, edge_threshold), rect, k)
+    return features_from_mask(edges.edge_mask(img), rect, k)
 

@@ -25,16 +25,15 @@ ORIENTATIONS = ("horizontal", "vertical")
 
 
 class EmptyRoiError(ValueError):
-    """Raised when every strip of an orientation falls below the threshold."""
+    """Raised when no region survives; in the pipeline, only when ``common_roi``'s boundary votes cross."""
 
 
 @dataclass(frozen=True)
 class RoiParams:
-    """Knobs of the ROI pipeline; the CLI flag defaults are read from here."""
+    """The ROI search's own parameters; the defaults of ``--strip-px`` and ``--n`` are read from here."""
 
     strip_px: int = 10
     n: float = 1.0
-    edge_threshold: int = edges.DEFAULT_EDGE_THRESHOLD
 
     def __post_init__(self):
         if self.strip_px < 1:
@@ -111,7 +110,9 @@ def trim_strips(profile: StripProfile) -> KeepRange:
 
     Keeps the contiguous range from the first strip with count >= threshold
     to the last such strip; interior dips survive. Equality keeps the strip,
-    so a flat profile (stddev 0) keeps everything.
+    so a flat profile (stddev 0) keeps everything. With ``n >= 0`` the
+    threshold is at most the largest count, so only a hand-built profile
+    reaches the ``EmptyRoiError``.
     """
     counts = profile.numlines
     keep = counts >= profile.threshold
@@ -135,7 +136,7 @@ def ranges_from_mask(mask: np.ndarray, params: RoiParams = RoiParams()) -> tuple
 
 def keep_ranges(img: np.ndarray, params: RoiParams = RoiParams()) -> tuple[KeepRange, KeepRange]:
     """(horizontal, vertical) keep ranges of one image, from a single edge pass."""
-    return ranges_from_mask(edges.edge_mask(img, params.edge_threshold), params)
+    return ranges_from_mask(edges.edge_mask(img), params)
 
 
 def rect_from_ranges(h_range: KeepRange, v_range: KeepRange, strip_px: int) -> RoiRect:
@@ -161,9 +162,7 @@ def _mode(values: list[int], prefer_small: bool) -> int:
     return min(candidates) if prefer_small else max(candidates)
 
 
-def common_roi(
-    ranges: Sequence[tuple[KeepRange, KeepRange]], strip_px: int = 10
-) -> RoiRect:
+def common_roi(ranges: Sequence[tuple[KeepRange, KeepRange]], strip_px: int) -> RoiRect:
     """Corpus-wide ROI from per-image (horizontal, vertical) keep ranges.
 
     Each of the four boundaries is the most frequent value of that boundary

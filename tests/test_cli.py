@@ -218,6 +218,7 @@ class TestFrameRule:
     "spec, code, message",
     [
         ("1 2 3", 1, "expected 'x0 y0 width height', got '1 2 3'"),
+        ("1,2,3,4", 1, "expected 'x0 y0 width height', got '1,2,3,4'"),
         ("@missing.rect", 2, "missing.rect"),
     ],
 )
@@ -425,7 +426,6 @@ class TestNumericFlags:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            ("extract-roi", "--edge-threshold"),
             ("extract-roi", "--strip-px"),
             ("gen-dataset", "--identities"),
             ("gen-dataset", "--samples"),
@@ -471,10 +471,15 @@ def test_metric_flag_is_gone(capsys, command):
         ["histcmp", "a.pgm", "b.pgm", "--window", "9"],
         ["gen-dataset", "--out", "c", "--width", "384"],
         ["gen-dataset", "--out", "c", "--height", "284"],
+        ["extract-roi", "a.pgm", "--out", "r.pgm", "--edge-threshold", "96"],
+        ["enroll", "--manifest", "missing.tsv", "--out", "db.tsv", "--edge-threshold", "96"],
+        ["identify", "--db", "db.tsv", "--image", "p.pgm", "--edge-threshold", "96"],
+        ["verify", "--db", "db.tsv", "--image", "p.pgm", "--claim", "p0", "--tau", "0.5", "--edge-threshold", "96"],
+        ["evaluate", "--manifest", "missing.tsv", "--edge-threshold", "96"],
     ],
 )
 def test_flags_no_caller_set_are_gone(tmp_path, monkeypatch, capsys, argv):
-    # each command runs its default: k 4, 8 and 16, a 9-bin window, a 384x284 frame
+    # each command runs its default: k 4, 8 and 16, a 9-bin window, a 384x284 frame, edge threshold 96
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -563,7 +568,6 @@ class TestExitCodeContract:
         if command in ("extract-roi", "enroll", "evaluate"):
             argv += ["--strip-px", data.draw(st.sampled_from(["-1", "0", "1", "4", "1000"]))]
             argv += ["--n", data.draw(st.sampled_from(["-1", "0", "1.5"]))]
-        argv += ["--edge-threshold", data.draw(st.sampled_from(["-5", "0", "96", "2041"]))]
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2)

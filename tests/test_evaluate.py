@@ -70,21 +70,23 @@ def small_manifest(tmp_path_factory):
 
 class TestRunEvaluation:
     def test_resubstitution_is_perfect_in_both_modes(self, small_manifest):
-        cfg = RunConfig(k_values=(4, 16), train_frac=1.0)
+        cfg = RunConfig(train_frac=1.0)
         result = run_evaluation(small_manifest, cfg)
-        assert len(result.rows) == 4
+        assert len(result.rows) == 6
         for mode, k, total, correct, rate in result.rows:
             assert total == 12 and correct == 12 and rate == 1.0
 
     def test_csv_shape_and_order(self, small_manifest):
-        cfg = RunConfig(k_values=(16, 4), train_frac=0.5)
+        cfg = RunConfig(train_frac=0.5)
         text = run_evaluation(small_manifest, cfg).to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "mode,k,total,correct,R"
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["full", "4"],
+            ["full", "8"],
             ["full", "16"],
             ["roi", "4"],
+            ["roi", "8"],
             ["roi", "16"],
         ]
         for line in lines[1:]:
@@ -109,7 +111,7 @@ class TestRunEvaluation:
             return original(img, params)
 
         monkeypatch.setattr(ev.roi, "keep_ranges", spy)
-        cfg = RunConfig(k_values=(4,), train_frac=0.5)
+        cfg = RunConfig(train_frac=0.5)
         run_evaluation(small_manifest, cfg)
         assert len(seen) == 6  # 3 identities x 2 training samples, no test images
 
@@ -121,7 +123,7 @@ def test_importing_evaluate_leaves_the_generator_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-def assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip_px, enroll_k):
+def assert_matches_reference(manifest, out, train_frac, seed, n, strip_px, enroll_k):
     """Each image's keep ranges, evaluate's CSV and ROI, and enroll --roi auto's DB and ROI equal the reference's.
 
     An empty ROI must be one on both sides.
@@ -133,9 +135,9 @@ def assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip
         got = ((h_range.first, h_range.last), (v_range.first, v_range.last))
         assert got == oracles.strip_ranges_reference(mask, n, strip_px), entry.path
 
-    cfg = RunConfig(roi=params, k_values=tuple(sorted(k_values)), seed=seed, train_frac=train_frac)
+    cfg = RunConfig(roi=params, seed=seed, train_frac=train_frac)
     try:
-        expected = oracles.evaluate_reference(corpus, train_frac, seed, k_values, n, strip_px)
+        expected = oracles.evaluate_reference(corpus, train_frac, seed, (4, 8, 16), n, strip_px)
     except oracles.ReferenceEmptyRoi:
         with pytest.raises(EmptyRoiError):
             run_evaluation(manifest, cfg)
@@ -166,16 +168,15 @@ def assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip
     train_frac=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
     n=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     strip_px=st.sampled_from([5, 10, 13]),
-    k_values=st.sets(st.sampled_from([4, 8, 16]), min_size=1),
     enroll_k=st.sampled_from([4, 8, 16]),
 )
 def test_generated_corpora_match_the_end_to_end_reference(
-    tmp_path_factory, frame, identities, seed, train_frac, n, strip_px, k_values, enroll_k
+    tmp_path_factory, frame, identities, seed, train_frac, n, strip_px, enroll_k
 ):
     width, height, margin = frame
     out = tmp_path_factory.mktemp("reference")
     manifest, _ = generate_corpus(identities, 4, seed, out / "corpus", width=width, height=height, margin=margin)
-    assert_matches_reference(manifest, out, train_frac, seed, k_values, n, strip_px, enroll_k)
+    assert_matches_reference(manifest, out, train_frac, seed, n, strip_px, enroll_k)
 
 
 @pytest.mark.parametrize(
@@ -200,4 +201,4 @@ def test_hand_built_corpora_match_the_end_to_end_reference(tmp_path, bands, trai
         entries.append(ManifestEntry(tmp_path / f"{i}.pgm", f"p{i // 3}", f"s{i}"))
         save_pgm(img, entries[-1].path)
     write_manifest(entries, tmp_path / "manifest.tsv")
-    assert_matches_reference(tmp_path / "manifest.tsv", tmp_path, train_frac, 0, {4, 16}, 0.0, 10, 4)
+    assert_matches_reference(tmp_path / "manifest.tsv", tmp_path, train_frac, 0, 0.0, 10, 4)

@@ -62,7 +62,7 @@ class TestExtractFeatures:
         # spikes only in the top-left quadrant, well inside it
         img = spiky_image((64, 64), [(8, 8), (8, 20), (20, 8), (24, 24)])
         rect = RoiRect(0, 0, 64, 64)
-        values = extract_features(img, rect, 4, edge_threshold=96)
+        values = extract_features(img, rect, 4)
         assert values[0] == 1.0
         assert (values[1:] < 1.0).all()
         # cross-check every cell against the busyness oracle pipeline
@@ -74,18 +74,18 @@ class TestExtractFeatures:
     def test_invariant_under_mask_preserving_relabel(self):
         img = spiky_image((48, 48), [(10, 10), (30, 35)], base=100, delta=120)
         rect = RoiRect(0, 0, 48, 48)
-        baseline = extract_features(img, rect, 4, edge_threshold=96)
+        baseline = extract_features(img, rect, 4)
         # different gray levels, same binarized edge mask
         brighter = spiky_image((48, 48), [(10, 10), (30, 35)], base=60, delta=150)
-        assert (extract_features(brighter, rect, 4, edge_threshold=96) == baseline).all()
+        assert (extract_features(brighter, rect, 4) == baseline).all()
 
     def test_quadrant_swap_permutes_vector(self):
         rect = RoiRect(0, 0, 64, 64)
         a = spiky_image((64, 64), [(10, 12), (20, 8)])
         # same content moved to the bottom-right quadrant (offset +32, +32)
         b = spiky_image((64, 64), [(42, 44), (52, 40)])
-        fa = extract_features(a, rect, 4, edge_threshold=96)
-        fb = extract_features(b, rect, 4, edge_threshold=96)
+        fa = extract_features(a, rect, 4)
+        fb = extract_features(b, rect, 4)
         assert fa[0] == fb[3]
         assert fa[3] == fb[0]
         assert fa[1] == fb[1] and fa[2] == fb[2]

@@ -282,7 +282,7 @@ class TestRoiInvariantsOnCorpus:
         for e in entries[::7]:
             img = load_pgm(e.path)
             for orientation, extent in (("horizontal", img.shape[0]), ("vertical", img.shape[1])):
-                prof = roi.strip_profile(edge_mask(img, params.edge_threshold), orientation, params)
+                prof = roi.strip_profile(edge_mask(img), orientation, params)
                 for idx, count in enumerate(prof.numlines):
                     lo, hi = idx * params.strip_px, (idx + 1) * params.strip_px
                     if hi <= guard or lo >= extent - guard:
