@@ -230,16 +230,6 @@ def modality(hist: np.ndarray, window: int = 9) -> int:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     h = np.asarray(hist, dtype=np.int64)
     smooth = np.convolve(h, np.ones(window, dtype=np.int64), mode="same")
-    modes = 0
-    i = 0
-    n = len(smooth)
-    while i < n:
-        j = i
-        while j + 1 < n and smooth[j + 1] == smooth[i]:
-            j += 1
-        left_lower = i == 0 or smooth[i - 1] < smooth[i]
-        right_lower = j == n - 1 or smooth[j + 1] < smooth[i]
-        if left_lower and right_lower and smooth[i] > 0:
-            modes += 1
-        i = j + 1
-    return modes
+    level = smooth[np.r_[True, smooth[1:] != smooth[:-1]]]  # one level per run of equal bins
+    step = np.diff(level, prepend=level[0] - 1, append=level[-1] - 1)  # a missing neighbour is lower
+    return int(np.count_nonzero((level > 0) & (step[:-1] > 0) & (step[1:] < 0)))

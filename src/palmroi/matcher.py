@@ -84,12 +84,8 @@ def identify(f: np.ndarray, db: TemplateDB, metric: str = "euclidean") -> tuple[
         raise ValueError(f"unknown metric {metric!r}; distances are Euclidean")
     if len(db) == 0:
         raise ValueError("cannot identify against an empty template database")
-    best_i = 0
-    best_d = distance(f, db.templates[0].features)
-    for i in range(1, len(db.templates)):
-        d = distance(f, db.templates[i].features)
-        if d < best_d:
-            best_i, best_d = i, d
+    # the index sends a tie to the first enrolled; a NaN distance is never less, so it neither wins nor is beaten
+    best_d, best_i = min((distance(f, t.features), i) for i, t in enumerate(db.templates))
     return db.templates[best_i].palm_id, best_d
 
 

@@ -91,13 +91,9 @@ def _finalize_into(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_u64(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Outputs ``start .. start + n - 1`` of SplitMix64(seed), vectorized (uint64).
-
-    Output ``k`` depends on ``seed + (k + 1) * GAMMA`` alone, so any stretch
-    of the stream can be drawn without the outputs before it.
-    """
-    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+def stream_u64(seed: int, n: int) -> np.ndarray:
+    """First ``n`` outputs of SplitMix64(seed), vectorized (uint64)."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(GAMMA)
     z += np.uint64(int(seed) & MASK64)
     return _finalize_into(z, np.empty_like(z))

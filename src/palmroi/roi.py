@@ -21,8 +21,6 @@ import numpy as np
 from . import edges
 from .image import RoiRect
 
-ORIENTATIONS = ("horizontal", "vertical")
-
 
 class EmptyRoiError(ValueError):
     """Raised when no region survives; in the pipeline, only when ``common_roi``'s boundary votes cross."""
@@ -62,22 +60,19 @@ class KeepRange:
 class StripProfile:
     """Per-strip busyness counts plus the derived selection threshold."""
 
-    orientation: str
     numlines: np.ndarray  # int64, one count per strip
     mean: float
     stddev: float  # population (divide by N)
     threshold: float  # mean - n * stddev
 
     @classmethod
-    def from_counts(cls, counts, orientation: str = "horizontal", n: float = 1.0) -> "StripProfile":
-        if orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+    def from_counts(cls, counts, n: float = 1.0) -> "StripProfile":
         numlines = np.asarray(counts, dtype=np.int64)
         if numlines.size == 0:
             raise ValueError("profile needs at least one strip")
         mean = float(np.mean(numlines))
         stddev = float(np.std(numlines))
-        return cls(orientation, numlines, mean, stddev, mean - n * stddev)
+        return cls(numlines, mean, stddev, mean - n * stddev)
 
 
 def strip_cuts(extent: int, strip_px: int) -> range:
@@ -91,18 +86,11 @@ def strip_cuts(extent: int, strip_px: int) -> range:
     return range(0, extent // strip_px * strip_px + 1, strip_px)
 
 
-def strip_profile(mask: np.ndarray, orientation: str, params: RoiParams = RoiParams()) -> StripProfile:
-    """Busyness profile of one orientation's strips of an edge mask.
-
-    Vertical strips are the horizontal strips of ``mask.T``: labeling a short,
-    wide copy is faster than labeling a tall, narrow one.
-    """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    bands = mask.T if orientation == "vertical" else mask
+def strip_profile(bands: np.ndarray, params: RoiParams = RoiParams()) -> StripProfile:
+    """Busyness profile of the horizontal strips of an edge mask; pass ``mask.T`` for its vertical strips."""
     h, w = bands.shape
     counts = edges.count_connected_lines(bands, strip_cuts(h, params.strip_px), (0, w))
-    return StripProfile.from_counts(counts[:, 0], orientation, params.n)
+    return StripProfile.from_counts(counts[:, 0], params.n)
 
 
 def trim_strips(profile: StripProfile) -> KeepRange:
@@ -117,21 +105,19 @@ def trim_strips(profile: StripProfile) -> KeepRange:
     counts = profile.numlines
     keep = counts >= profile.threshold
     if not keep.any():
-        raise EmptyRoiError(
-            f"all {counts.size} {profile.orientation} strips below threshold "
-            f"{profile.threshold:.3f}"
-        )
+        raise EmptyRoiError(f"all {counts.size} strips below threshold {profile.threshold:.3f}")
     first = int(np.argmax(keep))
     last = int(counts.size - 1 - np.argmax(keep[::-1]))
     return KeepRange(first, last)
 
 
 def ranges_from_mask(mask: np.ndarray, params: RoiParams = RoiParams()) -> tuple[KeepRange, KeepRange]:
-    """(horizontal, vertical) keep ranges of one edge mask."""
-    return (
-        trim_strips(strip_profile(mask, "horizontal", params)),
-        trim_strips(strip_profile(mask, "vertical", params)),
-    )
+    """(horizontal, vertical) keep ranges of one edge mask.
+
+    The vertical strips are the horizontal strips of ``mask.T``: labeling a
+    short, wide copy is faster than labeling a tall, narrow one.
+    """
+    return trim_strips(strip_profile(mask, params)), trim_strips(strip_profile(mask.T, params))
 
 
 def keep_ranges(img: np.ndarray, params: RoiParams = RoiParams()) -> tuple[KeepRange, KeepRange]:
@@ -157,9 +143,7 @@ def extract_roi(img: np.ndarray, params: RoiParams = RoiParams()) -> RoiRect:
 
 def _mode(values: list[int], prefer_small: bool) -> int:
     counts = Counter(values)
-    best = max(counts.values())
-    candidates = [v for v, c in counts.items() if c == best]
-    return min(candidates) if prefer_small else max(candidates)
+    return max(counts, key=lambda v: (counts[v], -v if prefer_small else v))
 
 
 def common_roi(ranges: Sequence[tuple[KeepRange, KeepRange]], strip_px: int) -> RoiRect:

@@ -257,9 +257,21 @@ class TestModality:
 
     def test_random_histograms_match_oracle(self):
         rng = np.random.default_rng(3)
+        sparse = []
         for _ in range(50):
             h = rng.integers(0, 40, 256).astype(np.int64)
             h[rng.integers(0, 256, 150)] = 0
+            sparse.append(h)
+        short = [rng.integers(0, 4, size).astype(np.int64) for size in range(1, 13) for _ in range(10)]
+        end_plateaus = []
+        for _ in range(40):
+            span = int(rng.integers(2, 30))
+            h = rng.integers(0, 20, 64).astype(np.int64)
+            h[:span] = h[0]  # equal first bins
+            g = rng.integers(0, 20, 64).astype(np.int64)
+            g[int(rng.integers(1, 5)) : span] = 0  # a few bins, then a gap: equal first smoothed bins
+            end_plateaus += [h, h[::-1].copy(), g, g[::-1].copy()]
+        for h in sparse + short + end_plateaus:
             for window in (3, 5, 9):
                 assert modality(h, window) == oracles.smoothed_local_max_count(h, window)
 

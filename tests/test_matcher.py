@@ -110,6 +110,13 @@ class TestIdentify:
         palm, d = identify(vec(0.0, 0.0), db)
         assert palm == "pa" and d == 1.0
 
+    def test_nan_distance_is_never_less(self):
+        # as in a first-to-last scan: a later NaN never wins, and a first NaN is never beaten
+        db = enroll([("p0", "s0", vec(1.0, 0.0)), ("p1", "s0", vec(np.nan, 0.0)), ("p2", "s0", vec(0.5, 0.0))])
+        assert identify(vec(0.0, 0.0), db) == ("p2", 0.5)
+        palm, d = identify(vec(0.0, 0.0), enroll([("p0", "s0", vec(np.nan, 0.0)), ("p1", "s0", vec(0.5, 0.0))]))
+        assert palm == "p0" and np.isnan(d)
+
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(52)
         for _ in range(100):

@@ -28,17 +28,6 @@ def test_vectorized_stream_matches_scalar():
         assert (stream_u64(seed, 100) == scalar).all()
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 70), start=st.integers(0, 5000))
-def test_stream_from_any_start(seed, n, start):
-    part = stream_u64(seed, n, start)
-    assert part.tobytes() == stream_u64(seed, n + start)[start:].tobytes()
-    rng = SplitMix64(seed)
-    for _ in range(start):
-        rng.next_u64()
-    assert part.tolist() == [rng.next_u64() for _ in range(n)]
-
-
 def test_stream_golden_hash():
     digest = hashlib.sha256(stream_u64(0, 256).tobytes()).hexdigest()
     assert digest == STREAM0_SHA256

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from palmroi.edges import edge_mask
+from palmroi.edges import count_connected_lines, edge_mask
 from palmroi.image import RoiRect
 from palmroi.roi import (
     EmptyRoiError,
@@ -48,7 +48,7 @@ class TestStripPartition:
 
 class TestStripProfile:
     def test_constant_image_all_zero(self, flat_image):
-        prof = strip_profile(edge_mask(flat_image), "vertical", RoiParams())
+        prof = strip_profile(edge_mask(flat_image).T, RoiParams())
         assert (prof.numlines == 0).all()
         assert prof.mean == 0 and prof.stddev == 0 and prof.threshold == 0
 
@@ -60,23 +60,24 @@ class TestStripProfile:
         prof = StripProfile.from_counts([3, 9, 17, 2], n=0.0)
         assert prof.threshold == prof.mean
 
-    def test_strip_count_follows_orientation(self, flat_image):
-        mask = edge_mask(flat_image)
-        assert strip_profile(mask, "horizontal", RoiParams()).numlines.size == 28
-        assert strip_profile(mask, "vertical", RoiParams()).numlines.size == 38
-
-    def test_bad_orientation(self, flat_image):
-        with pytest.raises(ValueError, match="orientation"):
-            strip_profile(edge_mask(flat_image), "diagonal", RoiParams())
+    def test_transpose_profiles_the_vertical_strips(self):
+        # the profile of mask.T counts each vertical strip of the untransposed mask, not just as many strips
+        rng = np.random.default_rng(29)
+        p = RoiParams()
+        for _ in range(20):
+            h, w = (int(v) for v in rng.integers(10, 60, 2))
+            mask = rng.random((h, w)) < rng.uniform(0.05, 0.5)
+            vertical = count_connected_lines(mask, (0, h), strip_cuts(w, p.strip_px))[0]
+            assert strip_profile(mask.T, p).numlines.tolist() == vertical.tolist()
 
 
 class TestTrimStrips:
     def test_trims_both_ends(self):
-        prof = StripProfile("horizontal", np.array([0, 1, 9, 10, 9, 1, 0]), 0.0, 0.0, 5.0)
+        prof = StripProfile(np.array([0, 1, 9, 10, 9, 1, 0]), 0.0, 0.0, 5.0)
         assert trim_strips(prof) == KeepRange(2, 4)
 
     def test_interior_dip_is_kept(self):
-        prof = StripProfile("horizontal", np.array([9, 2, 9]), 0.0, 0.0, 5.0)
+        prof = StripProfile(np.array([9, 2, 9]), 0.0, 0.0, 5.0)
         assert trim_strips(prof) == KeepRange(0, 2)
 
     def test_flat_profile_keeps_everything(self):
@@ -85,8 +86,8 @@ class TestTrimStrips:
         assert trim_strips(prof) == KeepRange(0, 3)
 
     def test_all_below_threshold_is_empty_roi(self):
-        prof = StripProfile("vertical", np.array([1, 2, 1]), 0.0, 0.0, 99.0)
-        with pytest.raises(EmptyRoiError):
+        prof = StripProfile(np.array([1, 2, 1]), 0.0, 0.0, 99.0)
+        with pytest.raises(EmptyRoiError, match="^all 3 strips below threshold 99.000$"):
             trim_strips(prof)
 
 

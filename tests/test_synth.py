@@ -280,9 +280,9 @@ class TestRoiInvariantsOnCorpus:
         params = roi.RoiParams()
         guard = 30 - 6  # margin minus max translation: content-free by construction
         for e in entries[::7]:
-            img = load_pgm(e.path)
-            for orientation, extent in (("horizontal", img.shape[0]), ("vertical", img.shape[1])):
-                prof = roi.strip_profile(edge_mask(img), orientation, params)
+            mask = edge_mask(load_pgm(e.path))
+            for bands, extent in ((mask, mask.shape[0]), (mask.T, mask.shape[1])):
+                prof = roi.strip_profile(bands, params)
                 for idx, count in enumerate(prof.numlines):
                     lo, hi = idx * params.strip_px, (idx + 1) * params.strip_px
                     if hi <= guard or lo >= extent - guard:
