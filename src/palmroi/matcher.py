@@ -133,6 +133,10 @@ def _parse_features(text: str) -> np.ndarray:
 
 
 def save_db(db: TemplateDB, path) -> None:
+    """Write ``db`` to ``path``; a palm_id that starts with '#' raises ValueError before the file is opened."""
+    for t in db.templates:
+        if t.palm_id.startswith("#"):
+            raise ValueError(f"palm_id {t.palm_id!r} starts with '#': the DB would read its line as a comment")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# palm_id\tsample_id\tk\tfeatures\n")
         for t in db.templates:

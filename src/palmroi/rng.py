@@ -10,9 +10,11 @@ the corpus byte-for-byte):
     MIX2  = 0x94D049BB133111EB   second multiplier
 
 Because the state of a stream seeded with ``s`` after ``k`` steps is just
-``s + k * GAMMA (mod 2**64)``, whole streams can be produced vectorized:
-element ``k`` (0-based) of the stream is ``finalize(s + (k + 1) * GAMMA)``.
-The scalar class and the vectorized stream functions are bit-identical.
+``s + k * GAMMA (mod 2**64)``, output ``k`` (0-based) of the stream is
+``finalize(s + (k + 1) * GAMMA)``.  The vectorized form of that identity
+exists only for Gaussian fields: ``add_normal`` draws a field in blocks,
+each from its own offset into the stream, bit-identical to the scalar
+class.  Every other draw goes through ``SplitMix64``.
 """
 
 from __future__ import annotations
@@ -81,55 +83,26 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def _finalize_into(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer applied in place to the uint64 states ``z``; ``t`` is scratch of the same size."""
-    for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        if mult is not None:
-            z *= np.uint64(mult)
-    return z
-
-
-def stream_u64(seed: int, n: int) -> np.ndarray:
-    """First ``n`` outputs of SplitMix64(seed), vectorized (uint64)."""
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    z *= np.uint64(GAMMA)
-    z += np.uint64(int(seed) & MASK64)
-    return _finalize_into(z, np.empty_like(z))
-
-
-def stream_floats(seed: int, n: int) -> np.ndarray:
-    """First ``n`` uniform [0, 1) floats of the stream, vectorized."""
-    return (stream_u64(seed, n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
 # Field elements drawn per block.  A field allocates its block buffers once:
 # the step table, the states and the finalizer's scratch, 3 x 256 KB of
 # uint64 that stay in cache through the Box-Muller steps.
 _FIELD_BLOCK = 1 << 14
 
 
-def normal_field(seed: int, shape: tuple, sigma: float = 1.0) -> np.ndarray:
-    """Gaussian field of the given shape from one stream (Box-Muller pairs).
+def add_normal(out: np.ndarray, seed: int, sigma: float) -> None:
+    """Add a Gaussian field from one stream (Box-Muller pairs) to ``out`` in place.
 
-    Element ``i`` (row-major) uses stream outputs ``2i`` and ``2i + 1``, so
-    the field is a pure function of (seed, shape, sigma).  It is filled in
-    blocks of ``_FIELD_BLOCK`` elements, each drawn from its own offset into
-    the stream; the block size changes no bit of the result.
+    Element ``i`` of ``out`` (row-major) uses stream outputs ``2i`` and
+    ``2i + 1``, so the field is a pure function of (seed, out.size, sigma).
+    It is drawn in blocks of ``_FIELD_BLOCK`` elements, each from its own
+    offset into the stream; the block size changes no bit of the result.
+    ``out`` must be a C-contiguous float64 array: a flat view of anything
+    else would be a copy, and the noise would land in that copy.
     """
-    out = np.empty(int(np.prod(shape)), dtype=np.float64)
-    for lo, block in _normal_blocks(seed, out.size, sigma):
-        out[lo : lo + len(block)] = block
-    return out.reshape(shape)
-
-
-def _normal_blocks(seed: int, m: int, sigma: float):
-    """Yield ``(lo, block)``: elements ``lo ..`` of an ``m``-element field, in order.
-
-    A block is a view into buffers the next block overwrites, so use it
-    before asking for the next one.
-    """
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("add_normal needs a C-contiguous float64 array")
+    flat = out.reshape(-1)
+    m = flat.size
     b = min(m, _FIELD_BLOCK)
     # the block starting at element lo holds states (seed + 2 lo GAMMA) + steps
     steps = np.arange(1, 2 * b + 1, dtype=np.uint64)
@@ -141,7 +114,12 @@ def _normal_blocks(seed: int, m: int, sigma: float):
         n = min(b, m - lo)
         u, scratch = z[: 2 * n], t[: 2 * n]
         np.add(steps[: 2 * n], np.uint64((seed + 2 * lo * GAMMA) & MASK64), out=u)
-        _finalize_into(u, scratch)
+        # the SplitMix64 finalizer, vectorized
+        for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
+            np.right_shift(u, np.uint64(shift), out=scratch)
+            u ^= scratch
+            if mult is not None:
+                u *= np.uint64(mult)
         u >>= np.uint64(11)
         # the finalizer is done with its scratch, which now holds the two float halves
         theta, radius = scratch.view(np.float64).reshape(2, n)
@@ -156,4 +134,4 @@ def _normal_blocks(seed: int, m: int, sigma: float):
         np.cos(theta, out=theta)
         radius *= theta
         radius *= sigma
-        yield lo, radius
+        flat[lo : lo + n] += radius

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .image import ManifestEntry, _thread_map, save_pgm, write_manifest
-from .rng import SplitMix64, _normal_blocks, mix, normal_field, stream_floats
+from .rng import SplitMix64, add_normal, mix
 
 DEFAULT_WIDTH = 384
 DEFAULT_HEIGHT = 284
@@ -210,11 +210,12 @@ def _ridge_layer(identity_seed: int, iw: int, ih: int, sigma: float, patch_prob:
 
     ``patch_prob`` is the fraction of ``_PATCH_BLOCK`` blocks that carry noise.
     """
-    ridge = normal_field(mix(identity_seed, _TAG_RIDGE), (ih, iw), sigma)
+    ridge = np.zeros((ih, iw))
+    add_normal(ridge, mix(identity_seed, _TAG_RIDGE), sigma)
     nby = -(-ih // _PATCH_BLOCK)
     nbx = -(-iw // _PATCH_BLOCK)
-    u = stream_floats(mix(identity_seed, _TAG_PATCH), nby * nbx)
-    active = (u < patch_prob).reshape(nby, nbx)
+    patch_rng = SplitMix64(mix(identity_seed, _TAG_PATCH))
+    active = np.array([patch_rng.next_float() < patch_prob for _ in range(nby * nbx)]).reshape(nby, nbx)
     patch = np.repeat(np.repeat(active, _PATCH_BLOCK, axis=0), _PATCH_BLOCK, axis=1)
     ridge *= patch[:ih, :iw]
     ridge.flags.writeable = False
@@ -246,9 +247,7 @@ def generate_palm(model: PalmModel, sample_seed: int) -> np.ndarray:
         _stamp_stroke(canvas, stroke, dx, dy, int(_clamp(stroke.intensity + wobble, 0, 255)))
 
     # the sensor noise is added block by block, so no whole noise field is allocated
-    flat = canvas.reshape(-1)
-    for lo, block in _normal_blocks(mix(sample_seed, _TAG_NOISE), flat.size, NOISE_SIGMA):
-        flat[lo : lo + len(block)] += block
+    add_normal(canvas, mix(sample_seed, _TAG_NOISE), NOISE_SIGMA)
     np.rint(canvas, out=canvas)
     np.clip(canvas, 0, 255, out=canvas)
     return canvas.astype(np.uint8)

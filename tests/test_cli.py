@@ -214,6 +214,15 @@ class TestFrameRule:
         assert capsys.readouterr().err == message
 
 
+def test_enroll_rejects_a_palm_id_the_db_would_read_as_a_comment(tmp_path, capsys):
+    manifest, entries = generate_corpus(2, 2, 5, tmp_path)
+    write_manifest([e._replace(palm_id="#" + e.palm_id) if e.palm_id == "p001" else e for e in entries], manifest)
+    db = tmp_path / "db.tsv"
+    assert main(["enroll", "--manifest", str(manifest), "--roi", "full", "--out", str(db)]) == 1
+    assert capsys.readouterr().err == "palmroi: error: palm_id '#p001' starts with '#': the DB would read its line as a comment\n"
+    assert not db.exists()
+
+
 @pytest.mark.parametrize(
     "spec, code, message",
     [

@@ -231,6 +231,13 @@ class TestDbFile:
         with pytest.raises(ValueError, match="declared k"):
             load_db(path)
 
+    def test_palm_id_starting_with_hash_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "db.tsv"
+        db = enroll([("p0", "s0", vec(0.5, 1.0)), ("#p1", "s0", vec(0.0, 1.0))])
+        with pytest.raises(ValueError, match="^palm_id '#p1' starts with '#': the DB would read its line as a comment$"):
+            save_db(db, path)
+        assert not path.exists()
+
 
     def test_comment_only_db_rejected(self, tmp_path):
         path = tmp_path / "db.tsv"

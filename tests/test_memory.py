@@ -1,15 +1,16 @@
 """Bounded memory: enrollment and evaluation keep a packed mask per image, not an image or a full mask;
-a noise field is drawn in blocks, not from one stream of its full size; a render adds its noise to the
-canvas block by block, and what the generator caches lives with its identity, not the module."""
+a noise field is added in place block by block, so no field of its full size is allocated, and what the
+generator caches lives with its identity, not the module."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from palmroi import cli, rng, synth
 from palmroi.evaluate import RunConfig, run_evaluation
 from palmroi.image import write_manifest
-from palmroi.rng import normal_field
+from palmroi.rng import _FIELD_BLOCK, add_normal
 
 MASK_BYTES = synth.DEFAULT_WIDTH * synth.DEFAULT_HEIGHT  # one unpacked bool edge mask
 
@@ -55,12 +56,13 @@ def test_peak_grows_by_under_a_quarter_mask_per_image(manifests, tmp_path, run):
     assert per_image < MASK_BYTES / 4, f"peaks {peaks} B: {per_image / MASK_BYTES:.2f} masks per added image"
 
 
-def test_noise_field_peak_is_under_three_fields():
-    shape = (synth.DEFAULT_HEIGHT, synth.DEFAULT_WIDTH)
-    field_bytes = shape[0] * shape[1] * 8
-    normal_field(3, shape)  # untraced first call
-    peak = peak_bytes(lambda: normal_field(3, shape, 3.0))
-    assert peak < 3 * field_bytes, f"peak {peak} B is {peak / field_bytes:.2f} fields"
+def test_noise_field_allocates_only_its_block_buffers():
+    """Three block buffers (steps, states, scratch) of 2 * _FIELD_BLOCK uint64 each; no field-sized array."""
+    out = np.zeros((1000, 1000))
+    buffer_bytes = 3 * 2 * _FIELD_BLOCK * 8
+    add_normal(out, 3, 3.0)  # untraced first call
+    peak = peak_bytes(lambda: add_normal(out, 3, 3.0))
+    assert peak < 1.25 * buffer_bytes, f"peak {peak} B is {peak / buffer_bytes:.3f} x the block buffers"
 
 
 def test_render_peak_is_under_two_and_a_half_frames():
